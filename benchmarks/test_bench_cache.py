@@ -1,15 +1,16 @@
 """Warm-cache serving: delta-driven advance vs invalidate-on-commit.
 
-The engine's ``advance`` cache mode patches the memoised old-state
+The advancing maintainer patches the memoised old-state
 materialisation with the induced events the commit-time integrity check
 already computed (the paper's view-maintenance reading of the event
-rules).  The ``invalidate`` mode is the pre-advance baseline: every commit
+rules).  The invalidating maintainer is the from-scratch baseline: every commit
 drops the interpreters, so the next read pays a from-scratch
 materialisation.
 
 This benchmark drives a read-heavy interleaved workload -- each commit
-followed by several integrity-check probes -- through both modes and
-asserts the advance mode does at least 5x fewer full materialisations,
+followed by several integrity-check probes -- through both
+maintainers (forced through ``tests.faultkit.force_maintainer``) and
+asserts the advancing one does at least 5x fewer full materialisations,
 which is where its read-latency advantage comes from.
 """
 
@@ -20,16 +21,18 @@ from repro.events.events import Transaction, insert
 from repro.server import DatabaseEngine
 from repro.workloads import employment_database
 
+from tests import faultkit
+
 ROUNDS = 8
 READS_PER_ROUND = 6
 _run_ids = itertools.count()
 
 
-def _fresh_engine(tmp_path, cache_mode: str) -> DatabaseEngine:
+def _fresh_engine(tmp_path, monkeypatch, maintainer: str) -> DatabaseEngine:
     directory = tmp_path / f"run{next(_run_ids)}"
+    faultkit.force_maintainer(monkeypatch, maintainer)
     return DatabaseEngine.open(directory,
-                               initial=employment_database(60, seed=3),
-                               cache_mode=cache_mode)
+                               initial=employment_database(60, seed=3))
 
 
 def _workload(engine: DatabaseEngine) -> float:
@@ -49,8 +52,8 @@ def _workload(engine: DatabaseEngine) -> float:
     return read_seconds
 
 
-def _run(tmp_path, cache_mode: str):
-    engine = _fresh_engine(tmp_path, cache_mode)
+def _run(tmp_path, monkeypatch, maintainer: str):
+    engine = _fresh_engine(tmp_path, monkeypatch, maintainer)
     try:
         read_seconds = _workload(engine)
         counters = engine.stats()["counters"]
@@ -59,9 +62,10 @@ def _run(tmp_path, cache_mode: str):
     return read_seconds, counters
 
 
-def test_bench_cache_advance_vs_invalidate(benchmark, tmp_path):
-    advance_reads, advance_counters = _run(tmp_path, "advance")
-    invalidate_reads, invalidate_counters = _run(tmp_path, "invalidate")
+def test_bench_cache_advance_vs_invalidate(benchmark, tmp_path, monkeypatch):
+    advance_reads, advance_counters = _run(tmp_path, monkeypatch, "advance")
+    invalidate_reads, invalidate_counters = _run(tmp_path, monkeypatch,
+                                                 "invalidate")
 
     advance_mat = advance_counters.get("cache.rematerialize", 0)
     invalidate_mat = invalidate_counters.get("cache.rematerialize", 0)
@@ -85,7 +89,7 @@ def test_bench_cache_advance_vs_invalidate(benchmark, tmp_path):
         f"{advance_mat} vs {invalidate_mat}")
 
     def setup():
-        return (_fresh_engine(tmp_path, "advance"),), {}
+        return (_fresh_engine(tmp_path, monkeypatch, "advance"),), {}
 
     def target(engine):
         try:

@@ -28,6 +28,8 @@ from repro.datalog.database import DeductiveDatabase
 from repro.events.events import Transaction, parse_transaction
 from repro.server.engine import DatabaseEngine
 
+from tests import faultkit
+
 N_EDB = 100_000
 N_BANNED = 20
 N_SUBSCRIBERS = 64
@@ -77,13 +79,13 @@ def _best_commit_seconds(engine: DatabaseEngine,
     return best
 
 
-def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path):
+def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path, monkeypatch):
     results: dict[str, dict] = {}
 
     # -- counting, no subscribers: the baseline ----------------------------
+    faultkit.force_maintainer(monkeypatch, "counting")
     engine = DatabaseEngine.open(tmp_path / "base",
-                                 initial=_build_db(N_EDB),
-                                 cache_mode="counting")
+                                 initial=_build_db(N_EDB))
     try:
         assert engine.commit(_delta_transactions(1, "W")[0]).applied
         seconds = _best_commit_seconds(
@@ -97,8 +99,7 @@ def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path):
 
     # -- counting, 64 subscribers: delta-sourced fan-out -------------------
     engine = DatabaseEngine.open(tmp_path / "fan",
-                                 initial=_build_db(N_EDB),
-                                 cache_mode="counting")
+                                 initial=_build_db(N_EDB))
     try:
         frames: list[list[dict]] = [[] for _ in range(N_SUBSCRIBERS)]
         for sink in frames:
@@ -125,9 +126,9 @@ def test_bench_feed_fanout_and_sourcing(benchmark, tmp_path):
         engine.close(checkpoint=False)
 
     # -- invalidate, 1 subscriber: diff-sourced feed -----------------------
+    faultkit.force_maintainer(monkeypatch, "invalidate")
     engine = DatabaseEngine.open(tmp_path / "diff",
-                                 initial=_build_db(N_EDB),
-                                 cache_mode="invalidate")
+                                 initial=_build_db(N_EDB))
     try:
         sink: list[dict] = []
         engine.feed_subscribe(["V"], sink.append)

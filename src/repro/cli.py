@@ -131,10 +131,12 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     from repro.core.history import Journal
     from repro.events.events import Event, Transaction
     from repro.events.naming import EventKind
+    from repro.interpretations.maintainers import select_maintainer
     from repro.server.engine import checked_commit
 
     db = _load(args.database)
     processor = UpdateProcessor(db)
+    maintainer = select_maintainer(processor)
     journal = Journal(db)
     print(f"loaded {args.database}: {db.fact_count()} facts, "
           f"{len(db.rules)} rules, {len(db.constraints)} constraints")
@@ -143,7 +145,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     def apply_checked(transaction: Transaction) -> None:
         # The same checked-commit path the server protocol uses, so REPL
         # and server semantics cannot drift.
-        outcome = checked_commit(processor, transaction, journal.commit)
+        outcome, _ = checked_commit(maintainer, transaction, journal.commit)
         if outcome.applied:
             print(f"applied {outcome.effective}")
         else:
@@ -195,6 +197,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             elif line == "undo":
                 undone = journal.undo()
                 processor.refresh()
+                maintainer.reset()
                 print(f"undid {undone[0].transaction}")
             else:
                 print(f"unknown command: {line!r} (try 'help')")
@@ -215,8 +218,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = DatabaseEngine.open(args.directory, initial=initial,
                                  max_batch=args.max_batch,
                                  on_violation=args.on_violation,
-                                 cache_mode=args.cache_mode,
-                                 eval_engine=args.eval_engine,
                                  dedup_capacity=args.dedup_capacity)
     if args.routing:
         # A shard of a partitioned group: the routing table is the durable
@@ -261,8 +262,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
                              pinned=_parse_pins(args.pin),
                              max_batch=args.max_batch,
                              on_violation=args.on_violation,
-                             cache_mode=args.cache_mode,
-                             eval_engine=args.eval_engine,
                              dedup_capacity=args.dedup_capacity)
     run(group, host=args.host, port=args.port, port_file=args.port_file,
         max_connections=args.max_connections,
@@ -561,18 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--on-violation", default="reject",
                        choices=["reject", "maintain", "ignore"],
                        help="default commit policy")
-    serve.add_argument("--cache-mode", default="advance",
-                       choices=["advance", "invalidate", "counting"],
-                       help="derived-state maintenance across commits: "
-                            "advance (default) patches warm caches, "
-                            "invalidate drops them, counting maintains "
-                            "derivation counts incrementally (docs/IVM.md)")
-    serve.add_argument("--eval-engine", default=None,
-                       choices=["compiled", "interpreted"],
-                       help="bottom-up evaluation engine for checks and "
-                            "interpretations: compiled join plans (default) "
-                            "or the tuple-at-a-time interpreter "
-                            "(docs/EVALUATION.md)")
     serve.add_argument("--no-checkpoint", action="store_true",
                        help="skip the WAL checkpoint on shutdown")
     serve.add_argument("--trace", action="store_true",
@@ -607,10 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_serve.add_argument("--timeout", type=float, default=30.0)
     shard_serve.add_argument("--on-violation", default="reject",
                              choices=["reject", "maintain", "ignore"])
-    shard_serve.add_argument("--cache-mode", default="advance",
-                             choices=["advance", "invalidate", "counting"])
-    shard_serve.add_argument("--eval-engine", default=None,
-                             choices=["compiled", "interpreted"])
     shard_serve.add_argument("--no-checkpoint", action="store_true")
     shard_serve.add_argument("--trace", action="store_true")
     shard_serve.add_argument("--slow-op-threshold", type=float,

@@ -31,12 +31,15 @@ of tuples:
 remains available as ``engine="interpreted"`` and serves as the
 differential-testing oracle (see ``tests/test_compiled_eval.py``).  The
 same planner orders the counting maintainer's delta-rule bodies and the
-magic-rewritten programs' adorned rules.  See docs/EVALUATION.md.
+magic-rewritten programs' adorned rules, and :func:`count_derivations`
+runs these plans to bootstrap the counting maintainer's derivation
+counts.  See docs/EVALUATION.md.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -310,17 +313,28 @@ def _key_builder(key_parts) -> Callable:
         const if slot is None else regs[slot] for slot, const in parts)
 
 
-def _row_builder(literal: Literal, slot_of: Mapping[Variable, int]) -> Callable:
-    """A ``regs -> ground row`` closure for a fully bound literal."""
-    parts = []
-    for term in literal.args:
-        if isinstance(term, Constant):
-            parts.append((None, term))
-        else:
-            parts.append((slot_of[term], None))
-    parts = tuple(parts)
+def _tuple_builder(parts: tuple, width: int) -> Callable:
+    """A ``regs -> row`` closure over ``(slot, const)`` parts for registers
+    of *width* slots, specialised for the common shapes: the registers
+    themselves, or one or two variables."""
+    if all(slot is not None for slot, _ in parts):
+        if tuple(slot for slot, _ in parts) == tuple(range(width)):
+            return lambda regs: regs
+        if len(parts) == 1:
+            s0 = parts[0][0]
+            return lambda regs: (regs[s0],)
+        if len(parts) == 2:
+            s0, s1 = parts[0][0], parts[1][0]
+            return lambda regs: (regs[s0], regs[s1])
     return lambda regs, parts=parts: tuple(
         const if slot is None else regs[slot] for slot, const in parts)
+
+
+def _row_builder(literal: Literal, slot_of: Mapping[Variable, int]) -> Callable:
+    """A ``regs -> ground row`` closure for a fully bound literal."""
+    return _tuple_builder(tuple(
+        (None, term) if isinstance(term, Constant) else (slot_of[term], None)
+        for term in literal.args), len(slot_of))
 
 
 def _extend_builder(out_positions: tuple[int, ...]) -> Callable:
@@ -340,26 +354,37 @@ def _extend_builder(out_positions: tuple[int, ...]) -> Callable:
 class _RulePlan:
     """One rule body compiled to a closure chain plus a head projection."""
 
-    __slots__ = ("rule", "steps", "delta_scan", "project", "head_predicate")
+    __slots__ = ("rule", "steps", "delta_scan", "project", "head_row",
+                 "head_predicate")
 
-    def __init__(self, rule: Rule, steps, delta_scan, project):
+    def __init__(self, rule: Rule, steps, delta_scan, project, head_row):
         self.rule = rule
         self.steps = steps
         self.delta_scan = delta_scan
         self.project = project
+        self.head_row = head_row
         self.head_predicate = rule.head.predicate
 
-    def run(self, intern: dict, delta_rows: Iterable[Row] | None = None) -> set[Row]:
-        """Execute the chain; *delta_rows* feeds the delta-restricted scan."""
+    def batch(self, delta_rows: Iterable[Row] | None = None) -> list[tuple]:
+        """Execute the chain: the final slot-register batch, one entry per
+        body substitution; *delta_rows* feeds the delta-restricted scan."""
         if self.delta_scan is not None:
             batch = self.delta_scan(delta_rows)
         else:
             batch = [()]
         for step in self.steps:
             if not batch:
-                return set()
+                return []
             batch = step(batch)
-        return self.project(batch, intern)
+        return batch
+
+    def run(self, intern: dict, delta_rows: Iterable[Row] | None = None) -> set[Row]:
+        """The set of head rows the chain derives."""
+        return self.project(self.batch(delta_rows), intern)
+
+    def count(self) -> Counter:
+        """Head rows with their derivation counts (one per substitution)."""
+        return Counter(map(self.head_row, self.batch()))
 
 
 def compile_rule(rule: Rule, source: _PlanSource, stats,
@@ -515,20 +540,35 @@ def compile_rule(rule: Rule, source: _PlanSource, stats,
             head_parts.append((slot_of[term], None))
         else:
             raise SafetyError(f"derived a non-ground head from rule: {rule}")
-    head_parts = tuple(head_parts)
+    head_row = _tuple_builder(tuple(head_parts), len(slot_of))
 
-    def project(batch, intern, head_parts=head_parts, plan_stats=plan_stats):
+    def project(batch, intern, head_row=head_row, plan_stats=plan_stats):
         out: set[Row] = set()
         add = out.add
         setdefault = intern.setdefault
         for regs in batch:
-            row = tuple(const if slot is None else regs[slot]
-                        for slot, const in head_parts)
+            row = head_row(regs)
             add(setdefault(row, row))
         plan_stats.rows_interned += len(batch) - len(out)
         return out
 
-    return _RulePlan(rule, tuple(steps), delta_scan, project)
+    return _RulePlan(rule, tuple(steps), delta_scan, project, head_row)
+
+
+def count_derivations(rules: Iterable[Rule], facts, stats) -> Counter:
+    """Derivation counts of *rules* over *facts*, computed from scratch.
+
+    Runs each rule's compiled plan and counts the head projection of its
+    final batch instead of deduplicating it: the multiset semantics that
+    counting-based view maintenance stores.  *facts* resolves every body
+    predicate through ``facts_of``, derived ones included.
+    """
+    plan_stats = PlanStats()
+    source = _PlanSource(facts, {}, plan_stats)
+    counter: Counter = Counter()
+    for rule in rules:
+        counter.update(compile_rule(rule, source, stats, plan_stats).count())
+    return counter
 
 
 # ---------------------------------------------------------------------------

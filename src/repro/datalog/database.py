@@ -92,6 +92,17 @@ class Relation:
             return True
         return False
 
+    def index_on(self, column: int) -> dict[Constant, set[Row]]:
+        """The index on *column*, built from scratch on first use."""
+        index = self._indexes.get(column)
+        if index is None:
+            index = {}
+            for row in self._rows:
+                index.setdefault(row[column], set()).add(row)
+            self._indexes[column] = index
+            self.index_builds += 1
+        return index
+
     def lookup(self, pattern: Sequence[Term]) -> Iterator[Row]:
         """Yield rows compatible with *pattern* (variables match anything).
 
@@ -102,14 +113,7 @@ class Relation:
             yield from self._rows
             return
         column, key = bound[0]
-        index = self._indexes.get(column)
-        if index is None:
-            index = {}
-            for row in self._rows:
-                index.setdefault(row[column], set()).add(row)
-            self._indexes[column] = index
-            self.index_builds += 1
-        candidates = index.get(key, ())
+        candidates = self.index_on(column).get(key, ())
         if len(bound) == 1:
             yield from candidates
             return
@@ -394,6 +398,12 @@ class DeductiveDatabase:
         if relation is None:
             return iter(())
         return relation.lookup(pattern)
+
+    def prepare_index(self, predicate: str, column: int) -> None:
+        """Build now the column index lookups bound first on *column* use."""
+        relation = self._relations.get(predicate)
+        if relation is not None:
+            relation.index_on(column)
 
     def count_of(self, predicate: str) -> int:
         """Stored tuple count (planner size estimates, no snapshot copy)."""

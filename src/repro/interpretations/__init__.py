@@ -7,8 +7,9 @@
 - :mod:`repro.interpretations.counting` -- counting-based change
   computation ([GMS93]) for non-recursive views;
 - :mod:`repro.interpretations.maintainers` -- the :class:`StateMaintainer`
-  strategies (invalidate / advance / counting) serving engines select by
-  :class:`CacheMode` to keep derived state warm across commits;
+  strategies that keep derived state warm across commits; serving engines
+  run the one :func:`select_maintainer` picks for their program (counting,
+  or advance for recursive programs), invalidate is the test oracle;
 - :mod:`repro.interpretations.downward` -- the downward interpretation
   (§4.2): candidate transactions of base events that satisfy requested
   changes on derived predicates.
@@ -25,13 +26,11 @@ from repro.interpretations.counting import (
     DeltaRule,
 )
 from repro.interpretations.maintainers import (
-    MAINTAINERS,
     AdvancingMaintainer,
-    CacheMode,
     CountingMaintainer,
     InvalidatingMaintainer,
     StateMaintainer,
-    create_maintainer,
+    select_maintainer,
 )
 from repro.interpretations.explanation import explain_event
 from repro.interpretations.naive import naive_changes
@@ -48,7 +47,6 @@ from repro.interpretations.downward import (
 
 __all__ = [
     "AdvancingMaintainer",
-    "CacheMode",
     "CountingEngine",
     "CountingMaintainer",
     "CountingUnsupportedError",
@@ -57,17 +55,16 @@ __all__ = [
     "DownwardOptions",
     "DownwardResult",
     "InvalidatingMaintainer",
-    "MAINTAINERS",
     "StateMaintainer",
     "Translation",
     "UpwardInterpreter",
     "UpwardOptions",
     "UpwardResult",
-    "create_maintainer",
     "explain_event",
     "forbid_delete",
     "forbid_insert",
     "naive_changes",
+    "select_maintainer",
     "want_delete",
     "want_insert",
 ]

@@ -39,9 +39,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.datalog.builtins import evaluate_builtin, is_builtin
-from repro.datalog.compile_plan import order_body
+from repro.datalog.compile_plan import count_derivations, order_body
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.errors import SafetyError, StratificationError
+from repro.datalog.evaluation import EvaluationStats
 from repro.datalog.rules import Literal, Rule
 from repro.datalog.stratify import dependency_graph
 from repro.datalog.terms import Constant
@@ -167,8 +168,35 @@ class _StateView:
             if all(row[i] == t for i, t in bound):
                 yield row
 
-    def rows(self, predicate: str) -> frozenset[Row]:
+    def facts_of(self, predicate: str) -> frozenset[Row]:
+        """Every row of *predicate* in this state (a compiled-plan source)."""
+        derived = self._derived.get(predicate)
+        if derived is not None:
+            return frozenset(derived)
+        if self._events is None:
+            return self._db.facts_of(predicate)
         return frozenset(self.lookup(predicate, ()))
+
+
+def _derived_components(program: TransitionProgram
+                        ) -> Iterator[tuple[str, bool]]:
+    """Derived predicates in dependency order, each with its recursion flag.
+
+    A predicate is recursive when its strongly connected component of the
+    dependency graph has several members or a self-loop.
+    """
+    graph = dependency_graph(program.source_rules)
+    for component in reversed(graph.strongly_connected_components()):
+        for predicate in component:
+            if predicate in program.derived:
+                yield predicate, (len(component) > 1
+                                  or graph.has_edge(predicate, predicate))
+
+
+def recursive_predicates(program: TransitionProgram) -> frozenset[str]:
+    """Derived predicates of *program* that counting cannot maintain."""
+    return frozenset(predicate for predicate, recursive
+                     in _derived_components(program) if recursive)
 
 
 class CountingEngine:
@@ -200,7 +228,6 @@ class CountingEngine:
             self._rules_of.setdefault(rule.head.predicate, []).append(rule)
         self._counts: dict[str, Counter] = {}
         self._extensions: dict[str, set[Row]] = {}
-        self._body_orders: dict[Rule, tuple[int, ...]] = {}
         self._delta_rules = self._compile_delta_rules()
         self._negation_boundary = frozenset(
             rule.head.predicate
@@ -212,25 +239,19 @@ class CountingEngine:
         self.rederive_count = 0
         self.on_rederive = on_rederive
         self._initialize_counts()
+        self._prepare_indexes()
 
     # -- setup -----------------------------------------------------------------
 
     def _topological_derived(self) -> list[str]:
-        graph = dependency_graph(self._program.source_rules)
-        components = graph.strongly_connected_components()
         order: list[str] = []
-        for component in reversed(components):
-            for predicate in component:
-                if predicate not in self._program.derived:
-                    continue
-                recursive = len(component) > 1 or graph.has_edge(predicate,
-                                                                 predicate)
-                if recursive:
-                    raise CountingUnsupportedError(
-                        f"counting-based maintenance requires non-recursive "
-                        f"views; {predicate} is recursive"
-                    )
-                order.append(predicate)
+        for predicate, recursive in _derived_components(self._program):
+            if recursive:
+                raise CountingUnsupportedError(
+                    f"counting-based maintenance requires non-recursive "
+                    f"views; {predicate} is recursive"
+                )
+            order.append(predicate)
         return order
 
     def _compile_delta_rules(self) -> dict[str, list[DeltaRule]]:
@@ -259,12 +280,22 @@ class CountingEngine:
             return len(self._extensions.get(predicate, ()))
         return self._db.count_of(predicate)
 
-    def _order_for(self, rule: Rule) -> tuple[int, ...]:
-        order = self._body_orders.get(rule)
-        if order is None:
-            order = order_body(rule.body, size_of=self._size_of)
-            self._body_orders[rule] = order
-        return order
+    def _prepare_indexes(self) -> None:
+        """Build the base column indexes the delta rules' joins will probe,
+        so the first commits pay no O(|relation|) index build."""
+        for delta_rules in self._delta_rules.values():
+            for delta_rule in delta_rules:
+                body = delta_rule.prefix + delta_rule.suffix
+                bound = set(delta_rule.literal.variables())
+                for index in delta_rule.order:
+                    literal = body[index]
+                    columns = [i for i, t in enumerate(literal.args)
+                               if isinstance(t, Constant) or t in bound]
+                    if (literal.positive and not is_builtin(literal.predicate)
+                            and literal.predicate not in self._program.derived
+                            and 0 < len(columns) < len(literal.args)):
+                        self._db.prepare_index(literal.predicate, columns[0])
+                    bound.update(literal.variables())
 
     def _initialize_counts(self) -> None:
         old_view = _StateView(self._db, self._extensions, None)
@@ -275,14 +306,10 @@ class CountingEngine:
                                            if c > 0}
 
     def _derive_counts(self, predicate: str, view: _StateView) -> Counter:
-        """Derivation counts of *predicate* computed from scratch in *view*."""
-        counter: Counter = Counter()
-        for rule in self._rules_of.get(predicate, ()):
-            pairs = [(rule.body[i], view) for i in self._order_for(rule)]
-            for bindings in self._run_ordered(pairs, {}):
-                row = tuple(resolve(t, bindings) for t in rule.head.args)
-                counter[row] += 1
-        return counter
+        """Derivation counts of *predicate* computed from scratch in *view*
+        by the shared compiled join plans."""
+        return count_derivations(self._rules_of.get(predicate, ()), view,
+                                 EvaluationStats())
 
     # -- public API ------------------------------------------------------------
 

@@ -1,8 +1,6 @@
-"""State maintainers: one name per strategy for keeping derived state warm.
+"""State maintainers: the strategies for keeping derived state warm.
 
-The serving engine used to hard-code ``if cache_mode == ...`` branches for
-its two cache strategies.  This module turns the strategy into a first-class
-object: a :class:`StateMaintainer` owns the derived state of one
+A :class:`StateMaintainer` owns the derived state of one
 :class:`~repro.core.processor.UpdateProcessor` and exposes a uniform
 protocol --
 
@@ -24,22 +22,24 @@ apply facts and caches together) the base class adds the finer-grained hooks
 the default implementations express the conservative strategy (check
 through the processor, re-derive from scratch next time).
 
-Implementations register themselves by name in :data:`MAINTAINERS` via
-``__init_subclass__``; :func:`create_maintainer` is the registry lookup the
-engine uses, and :class:`CacheMode` is the typed spelling of those names
-(legacy lowercase strings remain accepted).
+The serving engine does not let anyone choose: :func:`select_maintainer`
+picks counting for non-recursive programs and advancing otherwise.
+:class:`InvalidatingMaintainer` is never selected; it stays as the
+from-scratch oracle that tests and benchmarks compare against.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.datalog.database import GLOBAL_IC, DeductiveDatabase
 from repro.datalog.errors import DatalogError
 from repro.events.events import Transaction
-from repro.interpretations.counting import CountingEngine
+from repro.interpretations.counting import (
+    CountingEngine,
+    recursive_predicates,
+)
 from repro.interpretations.upward import UpwardResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -47,53 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.problems.ic_checking import ICCheckResult
 
 
-class CacheMode(str, Enum):
-    """How a serving engine keeps derived state warm across commits.
-
-    The values are the wire/CLI spellings; the legacy lowercase strings
-    ``"advance"`` and ``"invalidate"`` (and ``"counting"``) are accepted
-    anywhere a :class:`CacheMode` is, via :meth:`of`.
-    """
-
-    #: Re-derive by upward interpretation, then patch cached extensions.
-    ADVANCE = "advance"
-    #: Drop caches on every write; re-materialise on next use.
-    INVALIDATE = "invalidate"
-    #: Maintain derivation counts incrementally during the commit.
-    COUNTING = "counting"
-
-    @classmethod
-    def of(cls, value: "CacheMode | str") -> "CacheMode":
-        """Coerce an enum member or legacy string to a :class:`CacheMode`."""
-        if isinstance(value, CacheMode):
-            return value
-        if isinstance(value, str):
-            try:
-                return cls(value.lower())
-            except ValueError:
-                pass
-        known = ", ".join(repr(mode.value) for mode in cls)
-        raise ValueError(f"unknown cache_mode: {value!r} (expected one of "
-                         f"{known})")
-
-    def __str__(self) -> str:  # json/logs show the wire spelling
-        return self.value
-
-
-#: Registry of maintainer implementations, keyed by CacheMode value.
-MAINTAINERS: dict[str, type["StateMaintainer"]] = {}
-
-
-def create_maintainer(mode: CacheMode | str,
-                      processor: "UpdateProcessor") -> "StateMaintainer":
-    """Instantiate the registered maintainer for *mode*."""
-    return MAINTAINERS[CacheMode.of(mode).value](processor)
-
-
 class StateMaintainer(ABC):
     """Strategy object owning the derived state of one processor."""
 
-    #: Registry key; subclasses set it to a CacheMode value.
+    #: Strategy name, reported as ``maintainer`` in ``stats``/``health``.
     name: ClassVar[str] = ""
 
     #: Whether the strategy computes each commit's induced delta on the
@@ -103,16 +60,12 @@ class StateMaintainer(ABC):
     #: diff of the watched predicates, which scales with the database.
     sources_deltas: ClassVar[bool] = False
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls.name:
-            MAINTAINERS[cls.name] = cls
-
     def __init__(self, processor: "UpdateProcessor"):
         self._processor = processor
         #: Observability hook: called with an event kind ("bootstrap",
-        #: "rederive", ...) when the strategy does notable work.
-        self.on_event: Callable[[str], None] | None = None
+        #: "rederive", ...) and an amount when the strategy does notable
+        #: work.
+        self.on_event: Callable[[str, int], None] | None = None
 
     # -- shared plumbing -------------------------------------------------------
 
@@ -124,9 +77,9 @@ class StateMaintainer(ABC):
     def db(self) -> DeductiveDatabase:
         return self._processor.db
 
-    def _event(self, kind: str) -> None:
+    def _event(self, kind: str, amount: int = 1) -> None:
         if self.on_event is not None:
-            self.on_event(kind)
+            self.on_event(kind, amount)
 
     def _apply_base(self, transaction: Transaction) -> None:
         """Apply a (normalised) transaction's base events to the database."""
@@ -189,9 +142,13 @@ class StateMaintainer(ABC):
 
 
 class InvalidatingMaintainer(StateMaintainer):
-    """Baseline strategy: caches are dropped on every write."""
+    """Oracle strategy: caches are dropped on every write.
 
-    name = CacheMode.INVALIDATE.value
+    Never selected by :func:`select_maintainer`; tests and benchmarks use
+    it as the from-scratch baseline the incremental strategies must match.
+    """
+
+    name = "invalidate"
 
     def apply(self, transaction: Transaction) -> UpwardResult:
         result = self._processor.upward(transaction)
@@ -206,7 +163,7 @@ class InvalidatingMaintainer(StateMaintainer):
 class AdvancingMaintainer(StateMaintainer):
     """Patch warm interpreter caches with the induced events."""
 
-    name = CacheMode.ADVANCE.value
+    name = "advance"
     sources_deltas = True
 
     def apply(self, transaction: Transaction) -> UpwardResult:
@@ -251,7 +208,7 @@ class CountingMaintainer(StateMaintainer):
     and :meth:`advance` so facts and counts commit together.
     """
 
-    name = CacheMode.COUNTING.value
+    name = "counting"
     sources_deltas = True
 
     def __init__(self, processor: "UpdateProcessor"):
@@ -277,7 +234,7 @@ class CountingMaintainer(StateMaintainer):
         super().bootstrap(db)
         self._engine = None
         self._staged = None
-        self.counting_engine()
+        self._event("delta_rules", self.counting_engine().n_delta_rules)
 
     def apply(self, transaction: Transaction) -> UpwardResult:
         result = self.counting_engine().apply(transaction)
@@ -351,12 +308,23 @@ class CountingMaintainer(StateMaintainer):
             self._processor.invalidate_state_caches()
 
 
+def select_maintainer(processor: "UpdateProcessor") -> StateMaintainer:
+    """The maintainer a serving engine runs for *processor*'s program.
+
+    Counting maintains derivation counts in time proportional to the
+    delta but is defined only for non-recursive views, so a program with
+    a recursive derived predicate gets the advancing maintainer instead
+    (the same SCC test :class:`CountingEngine` applies at bootstrap).
+    """
+    if recursive_predicates(processor.program):
+        return AdvancingMaintainer(processor)
+    return CountingMaintainer(processor)
+
+
 __all__ = [
     "AdvancingMaintainer",
-    "CacheMode",
     "CountingMaintainer",
     "InvalidatingMaintainer",
-    "MAINTAINERS",
     "StateMaintainer",
-    "create_maintainer",
+    "select_maintainer",
 ]

@@ -28,7 +28,6 @@ from repro.datalog.errors import DatalogError
 from repro.datalog.rules import Literal
 from repro.events.events import Transaction, parse_transaction
 from repro.events.requests import parse_request, request_text
-from repro.interpretations.maintainers import CacheMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.processor import UpdateProcessor
@@ -36,16 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class WireFormatError(DatalogError):
-    """A request payload that does not deserialise into a typed request.
-
-    .. deprecated:: cache-mode strings
-       The bare strings ``"advance"`` / ``"invalidate"`` (and
-       ``"counting"``) remain accepted on the wire, on the CLI and in
-       engine constructors wherever a cache mode is expected, but they
-       are a legacy spelling: new code should pass
-       :class:`~repro.interpretations.maintainers.CacheMode` members
-       (``stats``/``health`` payloads always carry the string value).
-    """
+    """A request payload that does not deserialise into a typed request."""
 
 
 #: Registry of concrete request types by wire op (filled by subclassing).
@@ -563,7 +553,6 @@ class HealthRequest(UpdateRequest):
 
 
 __all__ = [
-    "CacheMode",
     "CheckRequest",
     "CheckpointRequest",
     "CommitRequest",

@@ -41,16 +41,18 @@ Concurrency model
   timeout, or a crash between fsync and ack -- returns the original result
   instead of double-applying.  A duplicate arriving while the first
   attempt is still queued joins its wait instead of enqueuing again.
-- *Warm derived-state cache.*  The interpreters memoise the old-state
-  materialisation of every derived predicate.  A fast-path commit computes
-  its integrity check as a *full-coverage* upward interpretation and, after
-  applying the batch, **advances** the memoised extensions with the induced
-  events instead of invalidating them (``cache_mode="advance"``); readers
-  interleaved with commits therefore keep hitting warm state.  Slow-path
-  commits, unchecked commits, checkpoints and advance failures fall back to
-  full invalidation.  Surfaced as ``cache.advance`` / ``cache.invalidate``
-  / ``cache.rematerialize`` counters and a ``cache_epoch`` in ``stats``;
-  see docs/SERVER.md for the lifecycle table.
+- *One maintainer for derived state.*  At open the engine picks its
+  :class:`~repro.interpretations.maintainers.StateMaintainer` from the
+  program (:func:`~repro.interpretations.maintainers.select_maintainer`):
+  counting for non-recursive programs, advance otherwise.  Every commit
+  path -- group fast path, serial slow path, unchecked commits, 2PC
+  decisions -- computes the induced events through it, applies the facts
+  and then **advances** the maintained state with those events instead of
+  dropping it; readers interleaved with commits keep hitting warm state.
+  Only checkpoints and advance failures reset it.  Surfaced as
+  ``cache.advance`` / ``cache.invalidate`` / ``cache.rematerialize`` and
+  ``ivm.*`` counters, the ``maintainer`` name and a ``cache_epoch`` in
+  ``stats``; see docs/SERVER.md for the lifecycle table.
 """
 
 from __future__ import annotations
@@ -69,12 +71,10 @@ from repro.datalog.compile_plan import resolve_engine
 from repro.datalog.errors import DatalogError, TransactionError
 from repro.events.events import Transaction
 from repro.interpretations.downward import DownwardOptions
-from repro.interpretations.upward import UpwardOptions
+from repro.interpretations.upward import UpwardOptions, UpwardResult
 from repro.interpretations.maintainers import (
-    CacheMode,
-    CountingMaintainer,
     StateMaintainer,
-    create_maintainer,
+    select_maintainer,
 )
 from repro.datalog.errors import SubscriptionError
 from repro.obs import tracer as obs
@@ -258,14 +258,27 @@ class CommitOutcome:
         return self.applied
 
 
-def checked_commit(processor: UpdateProcessor, transaction: Transaction,
-                   apply: Callable[[Transaction], object],
-                   on_violation: str = "reject") -> CommitOutcome:
-    """The single checked-commit path shared by REPL, engine and server.
+def _interpret_or_none(maintainer: StateMaintainer,
+                       transaction: Transaction) -> UpwardResult | None:
+    """The maintainer's induced events for an unchecked apply, or None."""
+    try:
+        return maintainer.interpret(transaction)
+    except DatalogError:
+        return None
 
-    Integrity-checks *transaction* against *processor*'s database, then
-    durably applies it through the *apply* callback (``journal.commit``,
-    ``durable.commit`` ...) and invalidates the processor's state caches.
+
+def checked_commit(maintainer: StateMaintainer, transaction: Transaction,
+                   apply: Callable[[Transaction], object],
+                   on_violation: str = "reject"
+                   ) -> tuple[CommitOutcome, UpwardResult | None]:
+    """The single serial checked-commit path shared by REPL and engine.
+
+    Integrity-checks *transaction* through *maintainer* against its
+    database, durably applies it through the *apply* callback
+    (``journal.commit``, ``durable.commit`` ...) and advances the
+    maintainer across it with the transaction's induced events.  Returns
+    the outcome and those induced events: ``None`` on rejection, or when
+    the maintainer computed none and had to reset instead.
 
     ``on_violation`` follows :meth:`UpdateProcessor.execute`: ``reject``
     refuses violating transactions, ``maintain`` extends them with the
@@ -276,30 +289,37 @@ def checked_commit(processor: UpdateProcessor, transaction: Transaction,
     """
     if on_violation not in ("reject", "maintain", "ignore"):
         raise ValueError(f"unknown on_violation policy: {on_violation!r}")
-    db = processor.db
+    db = maintainer.db
     transaction.check_base_only(db)
     check_result: ICCheckResult | None = None
     repairs: Transaction | None = None
     to_apply = transaction
+    delta: UpwardResult | None = None
     if on_violation != "ignore" and db.constraints:
         try:
-            check_result = processor.check(transaction)
+            check_result, delta = maintainer.check_full(transaction)
         except StateError:
             check_result = None  # inconsistent old state: nothing to protect
         if check_result is not None and not check_result.ok:
             if on_violation == "reject":
-                return CommitOutcome(False, transaction, check=check_result)
+                return CommitOutcome(False, transaction,
+                                     check=check_result), None
             from repro.core.maintenance import maintain_iteratively
 
             chosen = maintain_iteratively(db, transaction).best()
             if chosen is None:
-                return CommitOutcome(False, transaction, check=check_result)
+                return CommitOutcome(False, transaction,
+                                     check=check_result), None
             repairs = Transaction(chosen.events - transaction.events)
             to_apply = chosen
+            delta = None  # the repaired transaction has its own events
+    if delta is None:
+        delta = _interpret_or_none(maintainer, to_apply)
     effective = to_apply.normalized(db)
     apply(to_apply)
-    processor.invalidate_state_caches()
-    return CommitOutcome(True, transaction, effective, check_result, repairs)
+    maintainer.advance(delta)
+    return (CommitOutcome(True, transaction, effective, check_result,
+                          repairs), delta)
 
 
 class _Pending:
@@ -350,48 +370,30 @@ class DatabaseEngine:
     on_violation:
         default commit policy (``reject`` / ``maintain`` / ``ignore``);
         individual commits may override it.
-    cache_mode:
-        the :class:`~repro.interpretations.maintainers.StateMaintainer`
-        strategy (a :class:`CacheMode` or its string spelling) for the
-        memoised derived state on a fast-path commit: ``advance``
-        (default) patches it with the commit's own induced events (the
-        upward interpretation the integrity check already computes), so
-        interleaved readers keep a warm cache; ``invalidate`` always
-        drops it, forcing the next read to re-materialise -- the
-        pre-delta-maintenance behaviour, kept as a baseline and escape
-        hatch; ``counting`` maintains per-tuple derivation counts
-        incrementally *during* the commit, so check + maintenance cost
-        scales with the transaction instead of the database (see
-        docs/IVM.md; requires a non-recursive program).  Slow-path
-        commits, unchecked commits and checkpoints always reset the
-        maintainer, whatever the mode.
-    eval_engine:
-        evaluation engine for every bottom-up fixpoint the engine runs
-        (integrity checks, upward/downward interpretations, query
-        materialisation): ``"compiled"`` (closure-chain join plans, the
-        default) or ``"interpreted"`` (the tuple-at-a-time oracle); see
-        docs/EVALUATION.md.
+
+    The derived-state maintainer is not a parameter: it is picked from
+    the program at open (see :func:`select_maintainer` and docs/IVM.md).
+    The evaluation engine is the library default (compiled join plans,
+    or ``REPRO_EVAL_ENGINE``), resolved once at open; see
+    docs/EVALUATION.md.
     """
 
     def __init__(self, store: DurableDatabase, *, max_batch: int = 64,
                  on_violation: str = "reject", simplify: bool = True,
-                 metrics: MetricsRegistry | None = None,
-                 cache_mode: CacheMode | str = CacheMode.ADVANCE,
-                 eval_engine: str | None = None):
+                 metrics: MetricsRegistry | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if on_violation not in ("reject", "maintain", "ignore"):
             raise ValueError(f"unknown on_violation policy: {on_violation!r}")
         # Resolve now so a bad name fails at open, not mid-commit.
-        self._eval_engine = resolve_engine(eval_engine)
+        self._eval_engine = resolve_engine(None)
         self._store = store
         self._processor = UpdateProcessor(
             store.db, simplify=simplify,
-            upward_options=UpwardOptions(engine=eval_engine),
-            downward_options=DownwardOptions(engine=eval_engine))
+            upward_options=UpwardOptions(engine=self._eval_engine),
+            downward_options=DownwardOptions(engine=self._eval_engine))
         self._max_batch = max_batch
         self._policy = on_violation
-        self._cache_mode = CacheMode.of(cache_mode)
         #: Bumped on every full cache invalidation; readers can compare
         #: epochs across ``stats`` calls to see whether their reads stayed
         #: on warm state.
@@ -401,17 +403,11 @@ class DatabaseEngine:
         #: publish their induced deltas here (see docs/SUBSCRIPTIONS.md).
         self.feed = FeedBus(self.metrics)
         self._processor.on_cache_event = self._record_cache_event
-        self._maintainer = create_maintainer(self._cache_mode,
-                                             self._processor)
+        self._maintainer = select_maintainer(self._processor)
         self._maintainer.on_event = self._record_ivm_event
-        if isinstance(self._maintainer, CountingMaintainer):
-            # Eager bootstrap: pay the one-time count materialisation at
-            # open (and fail fast on recursive programs), then record the
-            # compiled delta-rule count for observability.
-            self._maintainer.bootstrap()
-            self.metrics.increment(
-                "ivm.delta_rules",
-                self._maintainer.counting_engine().n_delta_rules)
+        # Pay any one-time materialisation (counting's derivation counts)
+        # at open rather than on the first commit.
+        self._maintainer.bootstrap()
         self._rwlock = RWLock()
         self._interp_lock = threading.Lock()
         self._batch_lock = threading.Lock()
@@ -443,10 +439,10 @@ class DatabaseEngine:
         if kind == "invalidate":
             self._cache_epoch += 1
 
-    def _record_ivm_event(self, kind: str) -> None:
+    def _record_ivm_event(self, kind: str, amount: int = 1) -> None:
         """Maintainer hook -> ``ivm.*`` metrics (bootstrap, rederive...)."""
-        self.metrics.increment(f"ivm.{kind}")
-        obs.add(f"ivm.{kind}")
+        self.metrics.increment(f"ivm.{kind}", amount)
+        obs.add(f"ivm.{kind}", amount)
 
     @classmethod
     def open(cls, directory, initial=None, *,
@@ -477,13 +473,8 @@ class DatabaseEngine:
         return self._processor
 
     @property
-    def cache_mode(self) -> CacheMode:
-        """The configured derived-state maintenance strategy."""
-        return self._cache_mode
-
-    @property
     def maintainer(self) -> StateMaintainer:
-        """The state maintainer selected by ``cache_mode``."""
+        """The state maintainer picked for the program at open."""
         return self._maintainer
 
     @property
@@ -552,7 +543,7 @@ class DatabaseEngine:
                 "log_length": self._store.log_length(),
                 "max_batch": self._max_batch,
                 "on_violation": self._policy,
-                "cache_mode": self._cache_mode.value,
+                "maintainer": self._maintainer.name,
                 "eval_engine": self._eval_engine,
                 "cache_epoch": self._cache_epoch,
                 "dedup_size": len(self._store.txns),
@@ -590,7 +581,7 @@ class DatabaseEngine:
                 "directory": str(self._store.directory),
                 "log_length": self._store.log_length(),
             },
-            "cache": {"mode": self._cache_mode.value,
+            "cache": {"maintainer": self._maintainer.name,
                       "epoch": self._cache_epoch},
             "dedup": {"size": len(self._store.txns),
                       "capacity": self._store.txns.capacity},
@@ -667,8 +658,9 @@ class DatabaseEngine:
     def _feed_extents(self, predicates) -> dict[str, frozenset] | None:
         """Full extensions of the watched predicates, or None on failure.
 
-        This is the diff-fallback sourcing path (``invalidate`` mode, and
-        any commit whose maintainer produced no delta): it re-materialises
+        This is the diff-fallback sourcing path (the ``invalidate``
+        oracle, and any group or 2PC commit whose maintainer produced no
+        delta): it re-materialises
         through the maintainer's read path, so its cost scales with the
         database, not the transaction -- exactly why the counting-sourced
         feed exists (see benchmarks/test_bench_subscriptions.py).
@@ -686,8 +678,8 @@ class DatabaseEngine:
                             before: dict[str, frozenset] | None) -> None:
         """Push one frame for an applied commit (never fails the commit).
 
-        Sourcing is maintainer-aware: when *result* (an ``UpwardResult``
-        from the counting/advance fast path) is present its induced events
+        Sourcing is maintainer-aware: when *result* (the ``UpwardResult``
+        the maintainer computed for the commit) is present its induced events
         are the frame; otherwise the *before* snapshot taken pre-apply is
         diffed against a fresh post-apply materialisation.  When neither
         is available the subscribers get a ``resync`` marker instead of a
@@ -1059,24 +1051,16 @@ class DatabaseEngine:
                     "holds no prepared vote or recorded outcome for it")
             if decision == "commit":
                 # Stage the induced deltas before the facts move, then let
-                # the maintainer fold them in (counting applies counted
-                # deltas; advance patches warm extensions; invalidate and
-                # any staging failure reset).
-                try:
-                    staged_result = self._maintainer.interpret(
-                        prepared.transaction)
-                except DatalogError:
-                    staged_result = None
+                # the maintainer fold them in (a staging failure resets).
+                staged_result = _interpret_or_none(self._maintainer,
+                                                   prepared.transaction)
                 feed_before = self._feed_before_snapshot(staged_result)
                 effective = self._store.commit(
                     prepared.transaction, sync=True,
                     txn=(txn_id, prepared.digest))
                 outcome = CommitOutcome(True, prepared.transaction,
                                         effective).to_dict()
-                if staged_result is not None:
-                    self._maintainer.advance(staged_result)
-                else:
-                    self._maintainer.reset()
+                self._maintainer.advance(staged_result)
                 self.metrics.increment("twopc.committed")
                 self._feed_publish_delta(txn_id=txn_id, result=staged_result,
                                          before=feed_before)
@@ -1194,18 +1178,20 @@ class DatabaseEngine:
         span.set(path="serial")
         # Slow path: a violation (or a non-reject policy) somewhere in
         # the batch -- process sequentially through the shared checked
-        # path, still paying one fsync for the whole batch.  Entries
+        # path, which checks, applies and advances the maintainer member
+        # by member, still paying one fsync for the whole batch.  Entries
         # whose events (or txn outcome markers) reached the log are
         # acknowledged only after sync_log(): waking a waiter before the
         # fsync would let the server confirm a commit -- or remember a
         # rejection -- a crash could still lose.  If sync_log raises,
         # _drain fails every unfinished entry.
         to_ack: list[tuple[_Pending, CommitOutcome]] = []
-        applied_any = False
+        # (txn_id, induced events) of each applied member, in order.
+        frames: list[tuple[str | None, UpwardResult | None]] = []
         for entry in valid:
             try:
-                outcome = checked_commit(
-                    self._processor, entry.transaction,
+                outcome, delta = checked_commit(
+                    self._maintainer, entry.transaction,
                     lambda t, e=entry: self._store.commit(
                         t, sync=False,
                         txn=((e.txn_id, e.digest)
@@ -1214,12 +1200,12 @@ class DatabaseEngine:
             except DatalogError as error:
                 self._finish(entry, error=error)
                 continue
-            applied_any = applied_any or outcome.applied
             if (outcome.applied and outcome.check is None
                     and entry.policy != "ignore" and db.constraints):
                 # checked_commit skipped the check (inconsistent old state).
                 self._note_unchecked(1)
             if outcome.applied:
+                frames.append((entry.txn_id, delta))
                 if outcome.effective.events or entry.txn_id is not None:
                     to_ack.append((entry, outcome))
                 else:
@@ -1233,16 +1219,15 @@ class DatabaseEngine:
                 to_ack.append((entry, outcome))
             else:
                 self._finish(entry, outcome=outcome)
-        if applied_any:
-            # checked_commit invalidated the interpreter caches per entry;
-            # stateful maintainers (counting) must drop their standing
-            # state too, since facts moved without delta maintenance.
-            self._maintainer.reset()
-            # The feed has no per-commit deltas for a serial batch; tell
-            # subscribers to re-pull rather than guess.
-            self._feed_resync("slow-path")
         if to_ack:
             self._sync_log()
+        # One frame per applied member, strictly after the fsync; a member
+        # whose maintainer had to reset (no induced events) publishes a
+        # resync instead.
+        for txn_id, delta in frames:
+            self._feed_publish_delta(txn_id=txn_id, result=delta,
+                                     before=None)
+        if to_ack:
             faults.failpoint(FP_PRE_ACK)
         for entry, outcome in to_ack:
             self._finish(entry, outcome=outcome)
@@ -1265,17 +1250,17 @@ class DatabaseEngine:
         reused across the whole batch -- that, plus the single fsync, is
         the amortisation group commit pays for.
 
-        Derived-state maintenance is delegated to the configured
-        :class:`StateMaintainer`: in ``advance`` mode the merged check
-        runs with *full* predicate coverage and after the batch is
-        applied its induced events patch the memoised derived extensions
-        in place (:meth:`UpdateProcessor.advance_state_caches`); in
-        ``counting`` mode the check itself *is* the delta-rule
-        evaluation, and the staged derivation counts are folded in after
-        the batch is applied -- the view maintenance the paper reads out
-        of the event rules, applied to our own serving cache.  Unchecked
-        commits (inconsistent old state) and any advance failure fall
-        back to a full maintainer reset.
+        Derived-state maintenance is delegated to the engine's
+        :class:`StateMaintainer`: under counting the check itself *is*
+        the delta-rule evaluation, and the staged derivation counts are
+        folded in after the batch is applied -- the view maintenance the
+        paper reads out of the event rules, applied to our own serving
+        cache; under advance the merged check runs with *full* predicate
+        coverage and its induced events patch the memoised derived
+        extensions in place (:meth:`UpdateProcessor.advance_state_caches`).
+        When no check ran (no constraints, or an inconsistent old state)
+        the maintainer still interprets the batch; only an advance
+        failure falls back to a full maintainer reset.
         """
         db = self.db
         if any(entry.policy != "reject" for entry in batch):
@@ -1309,20 +1294,16 @@ class DatabaseEngine:
                 # Inconsistent old state: commit unchecked (the paper's
                 # methods need a consistent Do), but say so loudly.
                 checks = {}
-                advance_result = None
                 self._note_unchecked(len(batch))
-        else:
-            # No constraints, so no check ran -- a maintainer with warm
-            # state still computes the batch's induced events so its
-            # caches keep moving instead of resetting.
-            try:
-                advance_result = maintainer.interpret(merged)
-            except DatalogError:
-                advance_result = None
+        if advance_result is None:
+            # No check ran: the maintainer still computes the batch's
+            # induced events so its state keeps moving instead of
+            # resetting.
+            advance_result = _interpret_or_none(maintainer, merged)
         faults.failpoint(FP_POST_CHECK_PRE_ACK, batch_size=len(batch))
         # Diff-fallback feed sourcing needs the pre-apply extents (the
-        # maintainer produced no delta -- invalidate mode, unchecked
-        # commits, cold caches); snapshot before any fact moves.
+        # maintainer produced no delta -- the invalidate oracle, cold
+        # caches); snapshot before any fact moves.
         feed_before = self._feed_before_snapshot(advance_result)
         outcomes: list[tuple[_Pending, CommitOutcome]] = []
         synced = False
@@ -1343,9 +1324,7 @@ class DatabaseEngine:
         # consistent even when sync_log fails below.
         if advance_result is not None:
             faults.failpoint(FP_MID_CACHE_ADVANCE)
-            maintainer.advance(advance_result)
-        else:
-            maintainer.reset()
+        maintainer.advance(advance_result)
         if synced:
             self._sync_log()
         # Publish strictly after the fsync: a frame for a commit a crash

@@ -18,7 +18,7 @@ Design constraints, in order of importance:
   ``{txn_id, epoch, inserted, deleted}`` with rows in the same sorted-list
   wire shape as every other result type (:func:`repro.serde.rows_to_lists`).
   A ``resync`` frame tells the subscriber the server lost delta coverage
-  (slow-path commit, checkpoint, cache reset) and it must re-pull.  A
+  (checkpoint, maintainer reset) and it must re-pull.  A
   ``closed`` frame is the last thing an overflowing subscriber sees.
 - **Filters reuse the bound-goal shape of the routing layer.**  A goal is
   either a bare derived predicate name (``"Unemp"``) or an atom with

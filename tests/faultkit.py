@@ -27,16 +27,60 @@ Three invariants are then checked (``check_invariants``):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
 from repro.datalog.database import DeductiveDatabase
 from repro.events.events import Transaction
+from repro.interpretations.maintainers import (
+    AdvancingMaintainer,
+    CountingMaintainer,
+    InvalidatingMaintainer,
+)
+from repro.server import engine as engine_mod
 from repro.server.engine import DatabaseEngine
 from repro.workloads.generators import random_transaction
 
 FactSet = frozenset  # of (predicate, args) pairs
+
+
+#: Every maintainer strategy by name: the two an engine selects (counting,
+#: advance) plus the from-scratch invalidate oracle.
+MAINTAINER_CLASSES = {cls.name: cls for cls in (
+    AdvancingMaintainer, InvalidatingMaintainer, CountingMaintainer)}
+MAINTAINERS = tuple(MAINTAINER_CLASSES)
+
+
+def force_maintainer(monkeypatch, name: str) -> None:
+    """Make every engine opened from now on -- recoveries and shard group
+    members included -- run the *name* maintainer instead of the one its
+    program selects (an oracle arm; serving never chooses)."""
+    monkeypatch.setattr(engine_mod, "select_maintainer",
+                        MAINTAINER_CLASSES[name])
+
+
+def transitive_closure_database(n_nodes: int = 12, n_edges: int = 18,
+                                seed: int = 0) -> DeductiveDatabase:
+    """The SYN6 transitive-closure program over a random DAG, plus an
+    acyclicity constraint.
+
+    ``Path`` is recursive, so engines serve it with the advancing
+    maintainer; random workloads insert cycle-closing edges now and then,
+    which the constraint rejects.
+    """
+    rng = random.Random(seed)
+    db = DeductiveDatabase.from_source("""
+        Path(x, y) <- Edge(x, y).
+        Path(x, y) <- Edge(x, z) & Path(z, y).
+        Ic1 <- Path(x, x).
+    """)
+    db.declare_base("Edge", 2)
+    while db.fact_count() < n_edges:
+        source, target = sorted(rng.sample(range(n_nodes), 2))
+        db.add_fact("Edge", f"N{source}", f"N{target}")
+    return db
 
 
 def base_facts(db: DeductiveDatabase) -> FactSet:
@@ -297,7 +341,7 @@ def check_invariants(report: CrashReport, recovered: DatabaseEngine) -> None:
 def check_derived_oracle(recovered: DatabaseEngine) -> None:
     """Every derived predicate must equal a fresh bottom-up rebuild.
 
-    When the engine runs a *stateful* maintainer (counting mode), its
+    When the engine runs a *stateful* maintainer (counting), its
     maintained extensions are checked against the oracle too: crash
     recovery must rebuild counts that agree with the naive semantics,
     not just answer queries correctly through fresh evaluators.
@@ -440,8 +484,9 @@ def crash_and_recover(engine: DatabaseEngine, directory: Path | str,
     abandons it (crashed or not), re-opens the directory and asserts the
     invariants.  The recovered engine is returned for further probing --
     the caller closes it.  ``engine_kwargs`` are forwarded to the
-    recovery :meth:`DatabaseEngine.open` (e.g. ``cache_mode``), so the
-    matrix can recover into the same maintainer it crashed with.
+    recovery :meth:`DatabaseEngine.open` (e.g. ``max_batch``); a
+    maintainer forced with :func:`force_maintainer` applies to the
+    recovery too.
     """
     report = run_workload(engine, **workload_kwargs)
     faults.reset()  # the recovery path itself must run clean

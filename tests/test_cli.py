@@ -359,27 +359,16 @@ class TestCliErrorPaths:
                      "Unemp(x)"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_rejects_bad_cache_mode(self, capsys):
+    @pytest.mark.parametrize("command", ["serve", "shard-serve"])
+    @pytest.mark.parametrize("flag", [["--cache-mode", "counting"],
+                                      ["--eval-engine", "interpreted"]])
+    def test_serve_rejects_removed_maintenance_flags(self, capsys, command,
+                                                     flag):
+        """The maintainer is picked from the program and the evaluation
+        engine is the library default: neither is a serving option."""
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["serve", "data", "--cache-mode",
-                                       "sometimes"])
+            build_parser().parse_args([command, "data", *flag])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_serve_accepts_both_cache_modes(self):
-        from repro.cli import build_parser
-
-        for mode in ("advance", "invalidate"):
-            args = build_parser().parse_args(
-                ["serve", "data", "--cache-mode", mode])
-            assert args.cache_mode == mode
-        default = build_parser().parse_args(["serve", "data"])
-        assert default.cache_mode == "advance"
-
-    def test_engine_rejects_bad_cache_mode(self, tmp_path):
-        from repro.server import DatabaseEngine
-
-        with pytest.raises(ValueError, match="cache_mode"):
-            DatabaseEngine.open(tmp_path / "d", cache_mode="sometimes")
+        assert "unrecognized arguments" in capsys.readouterr().err

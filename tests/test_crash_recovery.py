@@ -18,6 +18,7 @@ import pytest
 
 from repro import faults
 from repro.core import durable
+from repro.datalog.compile_plan import ENV_ENGINE
 from repro.events.events import Transaction, parse_transaction
 from repro.server import engine as engine_mod
 from repro.server import server as server_mod
@@ -223,39 +224,42 @@ def test_crash_unwinds_commit_many_and_fails_waiters(tmp_path):
         engine.commit_many(transactions, raise_errors=True)
 
 
-@pytest.mark.parametrize("cache_mode", ["invalidate", "counting"])
-def test_alternate_cache_modes_recover_too(tmp_path, cache_mode):
-    """The matrix holds in the non-default cache modes as well.
+@pytest.mark.parametrize("maintainer", ["invalidate", "counting"])
+def test_alternate_cache_modes_recover_too(tmp_path, monkeypatch,
+                                           maintainer):
+    """The matrix holds under the invalidate oracle and counting as well.
 
-    Recovery re-opens in the same mode, so for ``counting`` the oracle
-    check in :func:`faultkit.check_derived_oracle` also compares the
-    re-bootstrapped maintained extensions against the naive rebuild.
+    Recovery re-opens with the same forced maintainer, so for
+    ``counting`` the oracle check in :func:`faultkit.check_derived_oracle`
+    also compares the re-bootstrapped maintained extensions against the
+    naive rebuild.
     """
-    engine = fresh_engine(tmp_path, cache_mode=cache_mode)
+    faultkit.force_maintainer(monkeypatch, maintainer)
+    engine = fresh_engine(tmp_path)
     faults.arm(engine_mod.FP_PRE_ACK, "crash", skip=1, times=1)
     report, recovered = faultkit.crash_and_recover(
-        engine, tmp_path / "db", steps=20, seed=17,
-        engine_kwargs={"cache_mode": cache_mode})
+        engine, tmp_path / "db", steps=20, seed=17)
     try:
         assert report.crashed
-        assert recovered.stats()["engine"]["cache_mode"] == cache_mode
+        assert recovered.stats()["engine"]["maintainer"] == maintainer
     finally:
         recovered.close()
 
 
 @pytest.mark.parametrize("point", COMMIT_POINTS)
 def test_commit_crash_counting_mode(tmp_path, point):
-    """The full commit-path crash matrix in counting mode.
+    """The full commit-path crash matrix under counting maintenance (what
+    the employment program selects).
 
     Counts live only in memory; every crash point must recover to a
     state whose re-bootstrapped counts equal the naive oracle, with the
     acked-prefix invariants intact.
     """
-    engine = fresh_engine(tmp_path, cache_mode="counting")
+    engine = fresh_engine(tmp_path)
+    assert engine.stats()["engine"]["maintainer"] == "counting"
     faults.arm(point, "crash", skip=1, times=1)
     report, recovered = faultkit.crash_and_recover(
-        engine, tmp_path / "db", steps=25, seed=3,
-        engine_kwargs={"cache_mode": "counting"})
+        engine, tmp_path / "db", steps=25, seed=3)
     try:
         assert report.crashed, f"{point} never fired in counting mode"
         assert recovered.maintainer.active
@@ -264,19 +268,36 @@ def test_commit_crash_counting_mode(tmp_path, point):
 
 
 @pytest.mark.parametrize("point", COMMIT_POINTS)
-def test_commit_crash_compiled_engine(tmp_path, point):
+def test_commit_crash_advance_recursive(tmp_path, point):
+    """The commit-path crash matrix over the SYN6 transitive closure, which
+    selects the advancing maintainer (select with ``-k advance``)."""
+    engine = DatabaseEngine.open(
+        tmp_path / "db", initial=faultkit.transitive_closure_database(seed=2))
+    assert engine.stats()["engine"]["maintainer"] == "advance"
+    faults.arm(point, "crash", skip=1, times=1)
+    report, recovered = faultkit.crash_and_recover(
+        engine, tmp_path / "db", steps=25, seed=13, n_events=2)
+    try:
+        assert report.crashed, f"{point} never fired under advance"
+        assert recovered.stats()["engine"]["maintainer"] == "advance"
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("point", COMMIT_POINTS)
+def test_commit_crash_compiled_engine(tmp_path, monkeypatch, point):
     """The commit-path crash matrix under the compiled evaluation engine.
 
     Select this slice with ``-k compiled``.  The compiled planner keeps
     in-memory join indexes over base and derived extensions; every crash
-    point must recover (re-opening with ``eval_engine="compiled"``) to a
-    state whose derived predicates equal the naive rebuild.
+    point must recover (re-opening under the same ``REPRO_EVAL_ENGINE``)
+    to a state whose derived predicates equal the naive rebuild.
     """
-    engine = fresh_engine(tmp_path, eval_engine="compiled")
+    monkeypatch.setenv(ENV_ENGINE, "compiled")
+    engine = fresh_engine(tmp_path)
     faults.arm(point, "crash", skip=1, times=1)
     report, recovered = faultkit.crash_and_recover(
-        engine, tmp_path / "db", steps=25, seed=11,
-        engine_kwargs={"eval_engine": "compiled"})
+        engine, tmp_path / "db", steps=25, seed=11)
     try:
         assert report.crashed, f"{point} never fired with the compiled engine"
         assert recovered.stats()["engine"]["eval_engine"] == "compiled"
@@ -285,13 +306,13 @@ def test_commit_crash_compiled_engine(tmp_path, point):
 
 
 @pytest.mark.parametrize("eval_engine", ["compiled", "interpreted"])
-def test_eval_engine_survives_recovery(tmp_path, eval_engine):
+def test_eval_engine_survives_recovery(tmp_path, monkeypatch, eval_engine):
     """Recovery re-opens with the same evaluation engine selection."""
-    engine = fresh_engine(tmp_path, eval_engine=eval_engine)
+    monkeypatch.setenv(ENV_ENGINE, eval_engine)
+    engine = fresh_engine(tmp_path)
     faults.arm(engine_mod.FP_PRE_ACK, "crash", skip=1, times=1)
     report, recovered = faultkit.crash_and_recover(
-        engine, tmp_path / "db", steps=20, seed=23,
-        engine_kwargs={"eval_engine": eval_engine})
+        engine, tmp_path / "db", steps=20, seed=23)
     try:
         assert report.crashed
         assert recovered.stats()["engine"]["eval_engine"] == eval_engine
@@ -301,11 +322,11 @@ def test_eval_engine_survives_recovery(tmp_path, eval_engine):
 
 def test_counting_mode_batched_crash(tmp_path):
     """Group-commit batches under counting maintenance survive a crash."""
-    engine = fresh_engine(tmp_path, cache_mode="counting", max_batch=8)
+    engine = fresh_engine(tmp_path, max_batch=8)
+    assert engine.stats()["engine"]["maintainer"] == "counting"
     faults.arm(engine_mod.FP_MID_CACHE_ADVANCE, "crash", skip=1, times=1)
     report, recovered = faultkit.crash_and_recover(
-        engine, tmp_path / "db", steps=25, seed=5, batch=4,
-        engine_kwargs={"cache_mode": "counting"})
+        engine, tmp_path / "db", steps=25, seed=5, batch=4)
     try:
         assert report.crashed
     finally:

@@ -1,6 +1,6 @@
 """Cache lifecycle tests: delta-driven maintenance of warm derived state.
 
-The engine's ``advance`` cache mode reuses the commit-time upward
+The engine's maintainers (counting, or advance for recursive programs) reuse the commit-time upward
 interpretation (the paper's view-maintenance reading of the event rules,
 Section 5.1.3) to patch the memoised derived extensions in place instead of
 invalidating them.  These tests pin down the lifecycle: when the cache
@@ -19,6 +19,8 @@ from repro.interpretations import UpwardInterpreter
 from repro.server.engine import DatabaseEngine
 from repro.workloads import employment_database
 
+from tests import faultkit
+
 
 @pytest.fixture
 def engine(tmp_path, employment_db):
@@ -32,13 +34,9 @@ def fresh_extension(db, predicate: str):
     return UpwardInterpreter(db).old_extension(predicate)
 
 
-class TestCacheModes:
-    def test_invalid_cache_mode_rejected(self, tmp_path, employment_db):
-        with pytest.raises(ValueError, match="cache_mode"):
-            DatabaseEngine.open(tmp_path / "d", initial=employment_db,
-                                cache_mode="nonsense")
-
-    def test_advance_mode_keeps_cache_warm(self, tmp_path):
+class TestMaintainers:
+    def test_advance_mode_keeps_cache_warm(self, tmp_path, monkeypatch):
+        faultkit.force_maintainer(monkeypatch, "advance")
         engine = DatabaseEngine.open(
             tmp_path / "d", initial=employment_database(30, seed=3))
         try:
@@ -48,7 +46,7 @@ class TestCacheModes:
                     f"insert La(N{i}); insert U_benefit(N{i})"))
                 engine.check(parse_transaction(f"insert Works(N{i})"))
             stats = engine.stats()
-            assert stats["engine"]["cache_mode"] == "advance"
+            assert stats["engine"]["maintainer"] == "advance"
             # Commits patched the warm cache: no invalidations, epoch
             # untouched, exactly the initial materialisation.
             assert stats["engine"]["cache_epoch"] == 0
@@ -62,10 +60,11 @@ class TestCacheModes:
         finally:
             engine.close(checkpoint=False)
 
-    def test_invalidate_mode_rematerializes_each_round(self, tmp_path):
+    def test_invalidate_mode_rematerializes_each_round(self, tmp_path,
+                                                       monkeypatch):
+        faultkit.force_maintainer(monkeypatch, "invalidate")
         engine = DatabaseEngine.open(
-            tmp_path / "d", initial=employment_database(30, seed=3),
-            cache_mode="invalidate")
+            tmp_path / "d", initial=employment_database(30, seed=3))
         try:
             engine.check(parse_transaction("insert Works(Probe)"))
             for i in range(5):
@@ -108,14 +107,17 @@ class TestCacheModes:
         assert counters.get("cache.invalidate", 0) >= 1
         assert engine.stats()["engine"]["cache_epoch"] >= 1
 
-    def test_slow_path_invalidates(self, engine):
-        """Non-reject policies take the serial path, which invalidates."""
+    def test_slow_path_advances(self, engine):
+        """Non-reject policies take the serial path, which advances the
+        warm caches with each member's induced events."""
         engine.check(parse_transaction("insert Works(Maria)"))
         engine.commit(parse_transaction("insert La(Pere)"),
                       on_violation="maintain")
         counters = engine.stats()["counters"]
-        assert counters.get("cache.invalidate", 0) >= 1
-        assert "cache.advance" not in counters
+        assert counters.get("cache.advance", 0) >= 1
+        assert "cache.invalidate" not in counters
+        assert engine._processor._upward.old_extension("Unemp") == \
+            fresh_extension(engine.db, "Unemp")
 
 
 class TestAdvanceMatchesRematerialize:

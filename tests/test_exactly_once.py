@@ -156,10 +156,11 @@ def test_retry_through_commit_crash_counting_mode(tmp_path):
     """Exactly-once replays hold under the counting maintainer too: the
     recovered engine re-bootstraps counts, replays are pure dedup hits,
     and the maintained extensions match the oracle."""
-    engine = fresh_engine(tmp_path, cache_mode="counting")
+    engine = fresh_engine(tmp_path)
+    assert engine.stats()["engine"]["maintainer"] == "counting"
     faults.arm(engine_mod.FP_MID_CACHE_ADVANCE, "crash", skip=1, times=1)
     report, recovered = faultkit.run_workload_with_retries(
-        engine, tmp_path / "db", steps=25, seed=3, cache_mode="counting")
+        engine, tmp_path / "db", steps=25, seed=3)
     try:
         assert report.crashes == 1
         assert recovered.maintainer.active

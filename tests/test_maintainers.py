@@ -1,11 +1,11 @@
-"""The StateMaintainer registry and the three cache-mode strategies.
+"""The StateMaintainer strategies and how the engine picks one.
 
-Covers the API-redesign surface of the counting PR: the
-:class:`CacheMode` enum (typed values, legacy string spellings), the
-name-keyed registry replacing the old ``if cache_mode == ...`` branches,
-protocol conformance of all three maintainers against the naive oracle,
-and the serving engine's counting-mode behaviour (verdicts, ``ivm.*``
-counters, resets, stats/health surfacing).
+Covers :func:`select_maintainer` (counting for non-recursive programs,
+advance for recursive ones, nothing configurable), protocol conformance
+of all three maintainers -- the two served ones and the invalidate
+oracle -- against the naive oracle, and the serving engine's counting
+behaviour (verdicts, ``ivm.*`` counters, resets, stats/health surfacing,
+and the serial commit path keeping its counts and feed deltas).
 """
 
 from __future__ import annotations
@@ -19,18 +19,22 @@ from repro.events.events import Transaction, delete, insert, parse_transaction
 from repro.interpretations import naive_changes
 from repro.interpretations.counting import CountingUnsupportedError
 from repro.interpretations.maintainers import (
-    MAINTAINERS,
     AdvancingMaintainer,
-    CacheMode,
     CountingMaintainer,
     InvalidatingMaintainer,
     StateMaintainer,
-    create_maintainer,
+    select_maintainer,
 )
 from repro.server.engine import DatabaseEngine
 from repro.workloads import employment_database, random_transaction
 
-ALL_MODES = ("advance", "invalidate", "counting")
+from tests import faultkit
+
+ALL_MODES = faultkit.MAINTAINERS
+
+
+def make_maintainer(name: str, processor: UpdateProcessor):
+    return faultkit.MAINTAINER_CLASSES[name](processor)
 
 
 def small_db() -> DeductiveDatabase:
@@ -41,51 +45,34 @@ def small_db() -> DeductiveDatabase:
     """)
 
 
-class TestCacheMode:
-    def test_legacy_strings_accepted(self):
-        assert CacheMode.of("advance") is CacheMode.ADVANCE
-        assert CacheMode.of("invalidate") is CacheMode.INVALIDATE
-        assert CacheMode.of("counting") is CacheMode.COUNTING
+class TestSelection:
+    def test_non_recursive_program_gets_counting(self):
+        processor = UpdateProcessor(employment_database(5, seed=1))
+        assert isinstance(select_maintainer(processor), CountingMaintainer)
 
-    def test_enum_values_accepted(self):
-        for mode in CacheMode:
-            assert CacheMode.of(mode) is mode
+    def test_recursive_program_gets_advance(self):
+        processor = UpdateProcessor(faultkit.transitive_closure_database())
+        assert isinstance(select_maintainer(processor), AdvancingMaintainer)
 
-    def test_case_insensitive(self):
-        assert CacheMode.of("ADVANCE") is CacheMode.ADVANCE
+    def test_program_without_views_gets_counting(self):
+        processor = UpdateProcessor(DeductiveDatabase.from_source("Q(A)."))
+        assert isinstance(select_maintainer(processor), CountingMaintainer)
 
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="cache_mode"):
-            CacheMode.of("bogus")
-        with pytest.raises(ValueError, match="cache_mode"):
-            CacheMode.of(7)
+    def test_names_are_the_reported_spellings(self):
+        assert [cls.name for cls in (AdvancingMaintainer,
+                                     InvalidatingMaintainer,
+                                     CountingMaintainer)] \
+            == ["advance", "invalidate", "counting"]
 
-    def test_str_is_wire_spelling(self):
-        assert str(CacheMode.COUNTING) == "counting"
-        assert CacheMode.COUNTING.value == "counting"
+    def test_engine_takes_no_maintainer_or_engine_knob(self, tmp_path):
+        from repro.shard import EngineGroup
 
-
-class TestRegistry:
-    def test_three_strategies_registered(self):
-        assert set(MAINTAINERS) == set(ALL_MODES)
-        assert MAINTAINERS["advance"] is AdvancingMaintainer
-        assert MAINTAINERS["invalidate"] is InvalidatingMaintainer
-        assert MAINTAINERS["counting"] is CountingMaintainer
-
-    def test_create_maintainer_by_name_and_enum(self):
-        processor = UpdateProcessor(small_db())
-        assert isinstance(create_maintainer("counting", processor),
-                          CountingMaintainer)
-        assert isinstance(create_maintainer(CacheMode.ADVANCE, processor),
-                          AdvancingMaintainer)
-
-    def test_subclass_registration_hook(self):
-        class Probe(InvalidatingMaintainer):
-            name = "probe-test"
-        try:
-            assert MAINTAINERS["probe-test"] is Probe
-        finally:
-            del MAINTAINERS["probe-test"]
+        for knob in ({"cache_mode": "counting"},
+                     {"eval_engine": "interpreted"}):
+            with pytest.raises(TypeError):
+                DatabaseEngine.open(tmp_path / "d", **knob)
+            with pytest.raises(TypeError):
+                EngineGroup.open(tmp_path / "g", shards=2, **knob)
 
 
 class TestProtocolConformance:
@@ -94,7 +81,7 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_apply_matches_oracle_and_moves_the_database(self, mode):
         db = small_db()
-        maintainer = create_maintainer(mode, UpdateProcessor(db))
+        maintainer = make_maintainer(mode, UpdateProcessor(db))
         transaction = Transaction([delete("Q", "A"), insert("Q", "C")])
         expected = naive_changes(db, transaction)
         result = maintainer.apply(transaction)
@@ -105,7 +92,7 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_extension_reflects_applied_state(self, mode):
         db = small_db()
-        maintainer = create_maintainer(mode, UpdateProcessor(db))
+        maintainer = make_maintainer(mode, UpdateProcessor(db))
         maintainer.apply(Transaction([insert("R", "A")]))
         extension = {tuple(c.value for c in row)
                      for row in maintainer.extension("V")}
@@ -116,7 +103,7 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_reset_then_reuse(self, mode):
         db = small_db()
-        maintainer = create_maintainer(mode, UpdateProcessor(db))
+        maintainer = make_maintainer(mode, UpdateProcessor(db))
         maintainer.apply(Transaction([delete("Q", "B")]))
         maintainer.reset()
         assert {tuple(c.value for c in row)
@@ -125,7 +112,7 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_apply_sequence_matches_oracle(self, mode):
         db = employment_database(15, seed=23)
-        maintainer = create_maintainer(mode, UpdateProcessor(db))
+        maintainer = make_maintainer(mode, UpdateProcessor(db))
         for seed in range(6):
             transaction = random_transaction(db, n_events=2, seed=seed)
             expected = naive_changes(db, transaction)
@@ -134,13 +121,13 @@ class TestProtocolConformance:
             assert result.deletions == expected.deletions, f"seed {seed}"
 
     def test_bootstrap_rejects_foreign_database(self):
-        maintainer = create_maintainer("counting",
+        maintainer = make_maintainer("counting",
                                        UpdateProcessor(small_db()))
         with pytest.raises(ValueError):
             maintainer.bootstrap(small_db())
 
     def test_counting_bootstrap_materialises_counts(self):
-        maintainer = create_maintainer("counting",
+        maintainer = make_maintainer("counting",
                                        UpdateProcessor(small_db()))
         assert not maintainer.active
         maintainer.bootstrap()
@@ -150,11 +137,11 @@ class TestProtocolConformance:
 
     def test_on_event_observes_bootstrap(self):
         events = []
-        maintainer = create_maintainer("counting",
+        maintainer = make_maintainer("counting",
                                        UpdateProcessor(small_db()))
-        maintainer.on_event = events.append
+        maintainer.on_event = lambda kind, amount: events.append(kind)
         maintainer.bootstrap()
-        assert events == ["bootstrap"]
+        assert events == ["bootstrap", "delta_rules"]
 
     def test_base_class_is_abstract(self):
         with pytest.raises(TypeError):
@@ -169,18 +156,18 @@ def fresh_engine(tmp_path, **kwargs) -> DatabaseEngine:
 
 
 class TestEngineCountingMode:
-    def test_stats_and_health_surface_the_mode(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode=CacheMode.COUNTING)
+    def test_stats_and_health_surface_the_maintainer(self, tmp_path):
+        engine = fresh_engine(tmp_path)
         try:
-            assert engine.cache_mode is CacheMode.COUNTING
-            assert engine.stats()["engine"]["cache_mode"] == "counting"
-            assert engine.health()["cache"]["mode"] == "counting"
+            assert engine.stats()["engine"]["maintainer"] == "counting"
+            assert "cache_mode" not in engine.stats()["engine"]
+            assert engine.health()["cache"]["maintainer"] == "counting"
             assert isinstance(engine.maintainer, CountingMaintainer)
         finally:
             engine.close()
 
     def test_delta_rules_counter_set_at_bootstrap(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode="counting")
+        engine = fresh_engine(tmp_path)
         try:
             assert engine.metrics.counter("ivm.delta_rules") \
                 == engine.maintainer.counting_engine().n_delta_rules > 0
@@ -189,7 +176,7 @@ class TestEngineCountingMode:
             engine.close()
 
     def test_commits_maintain_without_invalidation(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode="counting")
+        engine = fresh_engine(tmp_path)
         try:
             working = {r[0].value for r in engine.db.facts_of("Works")}
             idle = sorted(p for p in (f"P{i}" for i in range(12))
@@ -205,7 +192,7 @@ class TestEngineCountingMode:
             engine.close()
 
     def test_rejection_verdict_matches_interpreter(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode="counting")
+        engine = fresh_engine(tmp_path)
         try:
             # Deleting the benefit of an unemployed person violates Ic1.
             working = {r[0].value for r in engine.db.facts_of("Works")}
@@ -225,7 +212,7 @@ class TestEngineCountingMode:
             engine.close()
 
     def test_checkpoint_resets_then_rebootstraps(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode="counting")
+        engine = fresh_engine(tmp_path)
         try:
             assert engine.maintainer.active
             engine.checkpoint()
@@ -242,48 +229,104 @@ class TestEngineCountingMode:
         finally:
             engine.close()
 
-    def test_slow_path_resets_counting_state(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode="counting")
+    def test_recursive_program_serves_advance(self, tmp_path):
+        engine = DatabaseEngine.open(
+            tmp_path / "rec", initial=faultkit.transitive_closure_database())
         try:
-            working = {r[0].value for r in engine.db.facts_of("Works")}
-            idle = sorted(p for p in (f"P{i}" for i in range(12))
-                          if p not in working)
-            # A maintain-policy commit takes the serial slow path.
-            outcome = engine.commit(
-                Transaction(parse_transaction(f"insert Works({idle[0]})")),
-                on_violation="maintain")
-            assert outcome.applied
-            # Facts moved outside delta maintenance: counts were dropped
-            # and the next commit re-bootstraps to a consistent state.
-            someone_working = sorted(working)[0]
-            outcome = engine.commit(Transaction(
-                parse_transaction(f"delete Works({someone_working})")))
-            assert outcome.applied
-            faultkit_oracle(engine)
+            assert engine.stats()["engine"]["maintainer"] == "advance"
+            assert engine.metrics.counter("ivm.bootstrap") == 0
         finally:
             engine.close()
 
-    def test_recursive_program_fails_fast_at_open(self, tmp_path):
-        db = DeductiveDatabase.from_source("""
-            Edge(A, B).
-            Path(x, y) <- Edge(x, y).
-            Path(x, y) <- Edge(x, z) & Path(z, y).
-        """)
+    def test_forced_counting_still_refuses_recursion(self, tmp_path,
+                                                     monkeypatch):
+        faultkit.force_maintainer(monkeypatch, "counting")
         with pytest.raises(CountingUnsupportedError):
-            DatabaseEngine.open(tmp_path / "rec", initial=db,
-                                cache_mode="counting")
+            DatabaseEngine.open(
+                tmp_path / "rec",
+                initial=faultkit.transitive_closure_database())
 
-    def test_legacy_string_still_opens_engine(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode="advance")
+
+def idle_people(engine: DatabaseEngine) -> list[str]:
+    working = {r[0].value for r in engine.db.facts_of("Works")}
+    return sorted(p for p in (f"P{i}" for i in range(12))
+                  if p not in working)
+
+
+class TestSerialPathKeepsCounts:
+    """Every commit path advances the counting maintainer: no re-bootstrap,
+    and the change feed gets one delta frame per applied commit."""
+
+    @staticmethod
+    def assert_counts_kept(engine: DatabaseEngine,
+                           oracle: faultkit.SubscriptionOracle) -> None:
+        assert engine.stats()["engine"]["maintainer"] == "counting"
+        assert engine.maintainer.active
+        assert engine.metrics.counter("ivm.bootstrap") == 1
+        assert engine.metrics.counter("cache.invalidate") == 0
+        oracle.drain()
+        assert oracle.resyncs == 0, "serial path fell back to a resync"
+        oracle.check()
+        faultkit_oracle(engine)
+
+    def test_mixed_batch(self, tmp_path):
+        engine = fresh_engine(tmp_path, max_batch=8)
         try:
-            assert engine.cache_mode is CacheMode.ADVANCE
-            assert engine.stats()["engine"]["cache_mode"] == "advance"
+            oracle = faultkit.SubscriptionOracle(engine)
+            idle = idle_people(engine)
+            batch = [
+                Transaction(parse_transaction(f"insert Works({idle[0]})")),
+                # Unemployed without a benefit: rejected, so the batch
+                # takes the serial path.
+                Transaction(parse_transaction("insert La(Nobody)")),
+                Transaction(parse_transaction(
+                    "insert La(Newcomer), insert U_benefit(Newcomer)")),
+            ]
+            outcomes = engine.commit_many(batch)
+            assert [o.applied for o in outcomes] == [True, False, True]
+            assert engine.metrics.counter("commit.group_committed") == 0
+            oracle.drain()
+            assert oracle.deltas == 2  # one frame per applied member
+            self.assert_counts_kept(engine, oracle)
+            assert engine.commit(Transaction(parse_transaction(
+                "insert Works(Newcomer)"))).applied
+            self.assert_counts_kept(engine, oracle)
         finally:
             engine.close()
 
-    def test_invalid_mode_still_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_mode"):
-            fresh_engine(tmp_path, cache_mode="refcount")
+    def test_maintain_policy_commit(self, tmp_path):
+        engine = fresh_engine(tmp_path)
+        try:
+            oracle = faultkit.SubscriptionOracle(engine)
+            outcome = engine.commit(
+                Transaction(parse_transaction("insert La(Nobody)")),
+                on_violation="maintain")
+            assert outcome.applied and outcome.repairs.events
+            oracle.drain()
+            assert oracle.deltas == 1
+            self.assert_counts_kept(engine, oracle)
+        finally:
+            engine.close()
+
+    def test_unchecked_commit(self, tmp_path):
+        engine = fresh_engine(tmp_path)
+        try:
+            oracle = faultkit.SubscriptionOracle(engine)
+            # "ignore" skips the check on the serial path and leaves the
+            # state inconsistent; the next reject-policy commit then runs
+            # unchecked on the group path.
+            assert engine.commit(
+                Transaction(parse_transaction("insert La(Nobody)")),
+                on_violation="ignore").applied
+            outcome = engine.commit(
+                Transaction(parse_transaction("insert La(Noone)")))
+            assert outcome.applied and outcome.check is None
+            assert engine.metrics.counter("commit.unchecked") == 1
+            oracle.drain()
+            assert oracle.deltas == 2
+            self.assert_counts_kept(engine, oracle)
+        finally:
+            engine.close()
 
 
 def faultkit_oracle(engine: DatabaseEngine) -> None:
@@ -304,7 +347,7 @@ def faultkit_oracle(engine: DatabaseEngine) -> None:
 
 class TestEngineBatchCounting:
     def test_group_commit_batches_stay_consistent(self, tmp_path):
-        engine = fresh_engine(tmp_path, cache_mode="counting", max_batch=8)
+        engine = fresh_engine(tmp_path, max_batch=8)
         try:
             working = {r[0].value for r in engine.db.facts_of("Works")}
             idle = sorted(p for p in (f"P{i}" for i in range(12))

@@ -377,6 +377,22 @@ class TestEngineModeDifferential:
     """
 
     @staticmethod
+    def _open(path: str, db, maintainer: str, eval_engine: str | None = None):
+        """An engine running *maintainer* (and *eval_engine*), opened under
+        a scoped patch: hypothesis forbids the function-scoped fixture."""
+        import pytest
+
+        from repro.datalog.compile_plan import ENV_ENGINE
+        from repro.server.engine import DatabaseEngine
+        from tests import faultkit
+
+        with pytest.MonkeyPatch.context() as patch:
+            faultkit.force_maintainer(patch, maintainer)
+            if eval_engine is not None:
+                patch.setenv(ENV_ENGINE, eval_engine)
+            return DatabaseEngine.open(path, initial=db)
+
+    @staticmethod
     def _derived_goals(db):
         goals = []
         for predicate in sorted(db.schema.derived):
@@ -391,25 +407,20 @@ class TestEngineModeDifferential:
     def test_modes_and_oracle_agree_after_every_commit(self, db, seeds):
         import tempfile
 
-        from repro.server.engine import DatabaseEngine
         from repro.workloads import random_transaction
 
         if not db.base_predicates_with_facts():
             return
         goals = self._derived_goals(db)
         with tempfile.TemporaryDirectory() as scratch:
-            advance = DatabaseEngine.open(
-                f"{scratch}/a", initial=db, cache_mode="advance")
-            invalidate = DatabaseEngine.open(
-                f"{scratch}/i", initial=db, cache_mode="invalidate")
-            counting = DatabaseEngine.open(
-                f"{scratch}/c", initial=db, cache_mode="counting")
+            advance = self._open(f"{scratch}/a", db, "advance")
+            invalidate = self._open(f"{scratch}/i", db, "invalidate")
+            counting = self._open(f"{scratch}/c", db, "counting")
             # Same workload through the tuple-at-a-time evaluator: the
             # compiled engine (the default of the three above) must be
             # observationally identical to it after every commit.
-            interpreted = DatabaseEngine.open(
-                f"{scratch}/e", initial=db, cache_mode="advance",
-                eval_engine="interpreted")
+            interpreted = self._open(f"{scratch}/e", db, "advance",
+                                     eval_engine="interpreted")
             oracle = db.copy()
             try:
                 for seed in seeds:

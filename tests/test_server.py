@@ -114,7 +114,7 @@ class TestClientServer:
             assert stats["requests"]["query"]["count"] >= 1
             assert stats["counters"]["server.connections"] >= 1
             # Cache lifecycle state rides the same payload.
-            assert stats["engine"]["cache_mode"] == "advance"
+            assert stats["engine"]["maintainer"] == "counting"
             assert isinstance(stats["engine"]["cache_epoch"], int)
 
     def test_two_clients_interleave(self, server):
@@ -276,6 +276,50 @@ class TestShutdown:
 @pytest.mark.slow
 class TestServeCommandEndToEnd:
     """The scripted acceptance run: real process, real sockets."""
+
+    @pytest.mark.parametrize("source, maintainer", [
+        ("""
+            La(Dolors). U_benefit(Dolors). Works(Pere). La(Pere).
+            Unemp(x) <- La(x) & not Works(x).
+            Ic1 <- Unemp(x) & not U_benefit(x).
+         """, "counting"),
+        ("""
+            Edge(A, B). Edge(B, C).
+            Path(x, y) <- Edge(x, y).
+            Path(x, y) <- Edge(x, z) & Path(z, y).
+         """, "advance"),
+    ], ids=["employment-counting", "transitive-closure-advance"])
+    def test_serve_selects_maintainer_from_program(self, tmp_path, source,
+                                                   maintainer):
+        db_file = tmp_path / "db.dl"
+        db_file.write_text(source)
+        port_file = tmp_path / "port"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(tmp_path / "data"),
+             "--init", str(db_file), "--port", "0",
+             "--port-file", str(port_file)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        try:
+            deadline = time.monotonic() + 30
+            while not (port_file.exists() and port_file.read_text().strip()):
+                assert process.poll() is None, (
+                    f"server died early:\n"
+                    f"{process.stdout.read().decode(errors='replace')}")
+                assert time.monotonic() < deadline, "no port file"
+                time.sleep(0.05)
+            port = int(port_file.read_text().strip())
+            with connect_with_deadline(port, deadline=30.0) as client:
+                assert client.stats()["engine"]["maintainer"] == maintainer
+                assert client.health()["cache"]["maintainer"] == maintainer
+                client.shutdown()
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:  # pragma: no cover - cleanup
+                process.kill()
+                process.wait()
 
     def test_serve_commit_monitor_stats_shutdown_recover(self, tmp_path):
         db_file = tmp_path / "db.dl"

@@ -32,45 +32,47 @@ def big_engine(tmp_path):
     engine.close(checkpoint=False)
 
 
-class TestCheckedCommit:
-    def test_applies_and_invalidates(self, employment_db):
-        from repro.core import UpdateProcessor
+def serving_maintainer(db):
+    from repro.core import UpdateProcessor
+    from repro.interpretations.maintainers import select_maintainer
 
-        processor = UpdateProcessor(employment_db)
+    return select_maintainer(UpdateProcessor(db))
+
+
+class TestCheckedCommit:
+    def test_applies_and_advances(self, employment_db):
+        maintainer = serving_maintainer(employment_db)
         applied = []
-        outcome = checked_commit(
-            processor, Transaction([insert("Works", "Maria")]), applied.append)
+        outcome, delta = checked_commit(
+            maintainer, Transaction([insert("Works", "Maria")]),
+            applied.append)
         assert outcome.applied
         assert applied == [Transaction([insert("Works", "Maria")])]
+        assert delta is not None and delta.transaction == outcome.effective
 
     def test_rejects_violation_without_applying(self, employment_db):
-        from repro.core import UpdateProcessor
-
-        processor = UpdateProcessor(employment_db)
         applied = []
-        outcome = checked_commit(
-            processor, Transaction([delete("U_benefit", "Dolors")]),
-            applied.append)
-        assert not outcome.applied
+        outcome, delta = checked_commit(
+            serving_maintainer(employment_db),
+            Transaction([delete("U_benefit", "Dolors")]), applied.append)
+        assert not outcome.applied and delta is None
         assert outcome.check is not None and not outcome.check.ok
         assert applied == []
 
     def test_maintain_extends_with_repairs(self, employment_db):
-        from repro.core import UpdateProcessor
-
-        processor = UpdateProcessor(employment_db)
         applied = []
-        outcome = checked_commit(
-            processor, Transaction([delete("U_benefit", "Dolors")]),
+        outcome, delta = checked_commit(
+            serving_maintainer(employment_db),
+            Transaction([delete("U_benefit", "Dolors")]),
             applied.append, on_violation="maintain")
         assert outcome.applied
         assert outcome.repairs is not None and outcome.repairs.events
+        # The induced events are those of the repaired transaction.
+        assert delta is not None and delta.transaction == outcome.effective
 
     def test_bad_policy_rejected(self, employment_db):
-        from repro.core import UpdateProcessor
-
         with pytest.raises(ValueError):
-            checked_commit(UpdateProcessor(employment_db), Transaction(),
+            checked_commit(serving_maintainer(employment_db), Transaction(),
                            lambda t: None, on_violation="explode")
 
 

@@ -278,16 +278,16 @@ class TestCountingMode:
     decide applies counted deltas instead of invalidating."""
 
     def test_members_run_counting_maintainers(self, tmp_path):
-        group = open_group(tmp_path, cache_mode="counting")
+        group = open_group(tmp_path)
         try:
             for engine in group.engines:
-                assert engine.stats()["engine"]["cache_mode"] == "counting"
+                assert engine.stats()["engine"]["maintainer"] == "counting"
                 assert engine.maintainer.active
         finally:
             group.close()
 
     def test_cross_shard_commit_applies_counted_deltas(self, tmp_path):
-        group = open_group(tmp_path, cache_mode="counting")
+        group = open_group(tmp_path)
         try:
             a, b = cross_shard_names(group)
             outcome = group.commit(parse_transaction(
@@ -305,7 +305,7 @@ class TestCountingMode:
             group.close()
 
     def test_cross_shard_veto_leaves_counts_intact(self, tmp_path):
-        group = open_group(tmp_path, cache_mode="counting")
+        group = open_group(tmp_path)
         try:
             a, b = cross_shard_names(group)
             # Unemployed without a benefit on both shards: vetoed.

@@ -3,8 +3,10 @@
 The centrepiece is :class:`tests.faultkit.SubscriptionOracle`: a shadow
 subscriber that applies delta frames (and re-pulls on ``resync``) and
 asserts, after every commit, that the feed reconstructed exactly the
-materialised state -- across all three cache modes and both evaluation
-engines, over the engine API, the wire protocol and the shard group.
+materialised state -- across all three maintainers (forced through
+``faultkit.force_maintainer``) and both evaluation engines, for the
+recursive SYN6 transitive closure as served (advance), over the engine
+API, the wire protocol and the shard group.
 
 The fault slice covers the feed-specific failpoints: a crash between the
 fsync and the publish must never produce phantom or duplicate frames, a
@@ -22,6 +24,7 @@ import time
 import pytest
 
 from repro import faults
+from repro.datalog.compile_plan import ENV_ENGINE
 from repro.events.events import Transaction, insert, parse_transaction
 from repro.server import DatabaseEngine, ServerThread
 from repro.server import server as server_mod
@@ -36,7 +39,6 @@ from repro.workloads.generators import (
 
 from tests import faultkit
 
-CACHE_MODES = ("advance", "invalidate", "counting")
 EVAL_ENGINES = ("compiled", "interpreted")
 
 
@@ -59,11 +61,13 @@ def grow(person: str) -> Transaction:
 
 class TestDifferentialOracle:
     @pytest.mark.parametrize("eval_engine", EVAL_ENGINES)
-    @pytest.mark.parametrize("cache_mode", CACHE_MODES)
-    def test_random_workload(self, tmp_path, cache_mode, eval_engine):
+    @pytest.mark.parametrize("maintainer", faultkit.MAINTAINERS)
+    def test_random_workload(self, tmp_path, monkeypatch, maintainer,
+                             eval_engine):
         """Frames == before/after diff, for every commit of a workload."""
-        engine = fresh_engine(tmp_path, cache_mode=cache_mode,
-                              eval_engine=eval_engine)
+        faultkit.force_maintainer(monkeypatch, maintainer)
+        monkeypatch.setenv(ENV_ENGINE, eval_engine)
+        engine = fresh_engine(tmp_path)
         try:
             oracle = faultkit.SubscriptionOracle(engine)
             applied = 0
@@ -75,27 +79,60 @@ class TestDifferentialOracle:
                 oracle.check()  # after *every* commit, not just at the end
             assert applied >= 5, "workload never commits; oracle untested"
             assert oracle.deltas + oracle.resyncs > 0, "feed stayed silent"
-            sourcing = engine.stats()["engine"]["feed_sourcing"]
-            if cache_mode in ("advance", "counting"):
-                assert sourcing == "delta"
+            stats = engine.stats()["engine"]
+            assert stats["maintainer"] == maintainer
+            assert stats["eval_engine"] == eval_engine
+            if maintainer in ("advance", "counting"):
+                assert stats["feed_sourcing"] == "delta"
                 assert oracle.deltas > 0
             else:
-                assert sourcing == "diff"
+                assert stats["feed_sourcing"] == "diff"
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("cache_mode", CACHE_MODES)
-    def test_resync_paths(self, tmp_path, cache_mode):
-        """Slow-path and checkpoint commits surface as typed resyncs."""
-        engine = fresh_engine(tmp_path, cache_mode=cache_mode)
+    @pytest.mark.parametrize("eval_engine", EVAL_ENGINES)
+    def test_random_workload_advance_recursive(self, tmp_path, monkeypatch,
+                                               eval_engine):
+        """The oracle over the SYN6 transitive closure, as served: the
+        recursive program selects the advancing maintainer."""
+        monkeypatch.setenv(ENV_ENGINE, eval_engine)
+        engine = DatabaseEngine.open(
+            tmp_path / "db",
+            initial=faultkit.transitive_closure_database(seed=5))
+        try:
+            assert engine.stats()["engine"]["maintainer"] == "advance"
+            oracle = faultkit.SubscriptionOracle(engine)
+            applied = rejected = 0
+            for step in range(25):
+                txn = random_transaction(engine.db, n_events=2,
+                                         seed=7000 + step)
+                if engine.commit(txn).applied:
+                    applied += 1
+                else:
+                    rejected += 1
+                oracle.check()
+            assert applied >= 5 and rejected >= 1, (applied, rejected)
+            assert oracle.deltas > 0 and oracle.resyncs == 0
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("maintainer", faultkit.MAINTAINERS)
+    def test_resync_paths(self, tmp_path, monkeypatch, maintainer):
+        """A serial-path commit publishes its own delta frame -- a resync
+        only when the maintainer has no delta and resets (the invalidate
+        oracle) -- and a checkpoint always resyncs."""
+        faultkit.force_maintainer(monkeypatch, maintainer)
+        engine = fresh_engine(tmp_path)
         try:
             oracle = faultkit.SubscriptionOracle(engine)
-            # A non-reject policy always takes the slow commit path, so
-            # subscribers get a resync marker, never a quietly wrong delta.
+            # A non-reject policy always takes the serial commit path.
             assert engine.commit(grow("Zed"),
                                  on_violation="maintain").applied
             oracle.drain()
-            assert oracle.resyncs >= 1
+            if maintainer == "invalidate":
+                assert oracle.resyncs == 1
+            else:
+                assert (oracle.deltas, oracle.resyncs) == (1, 0)
             oracle.check()
             engine.checkpoint()  # maintainer reset: coverage lost again
             before = oracle.resyncs
