@@ -131,12 +131,12 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     from repro.core.history import Journal
     from repro.events.events import Event, Transaction
     from repro.events.naming import EventKind
-    from repro.interpretations.maintainers import select_maintainer
+    from repro.interpretations.maintainers import CountingMaintainer
     from repro.server.engine import checked_commit
 
     db = _load(args.database)
     processor = UpdateProcessor(db)
-    maintainer = select_maintainer(processor)
+    maintainer = CountingMaintainer(processor)
     journal = Journal(db)
     print(f"loaded {args.database}: {db.fact_count()} facts, "
           f"{len(db.rules)} rules, {len(db.constraints)} constraints")

@@ -9,10 +9,11 @@ deal with all these problems as a whole".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.errors import UnknownPredicateError
+from repro.datalog.evaluation import BottomUpEvaluator
 from repro.datalog.rules import Literal
 from repro.events.event_rules import EventCompiler, TransitionProgram
 from repro.events.events import Event, Transaction
@@ -23,6 +24,7 @@ from repro.interpretations.downward import (
     DownwardResult,
 )
 from repro.interpretations.upward import (
+    OldStateView,
     UpwardInterpreter,
     UpwardOptions,
     UpwardResult,
@@ -40,7 +42,6 @@ from repro.problems import (
     can_reach_inconsistency,
     check_restores_consistency,
     check_transaction,
-    check_transaction_full,
     condition_activation,
     constraints_satisfiable,
     current_violations,
@@ -95,12 +96,12 @@ class UpdateProcessor:
         self._program: TransitionProgram | None = None
         self._upward: UpwardInterpreter | None = None
         self._downward: DownwardInterpreter | None = None
-        #: Optional observer called with ``"advance"`` / ``"invalidate"`` /
+        self._old_view: OldStateView | None = None
+        self._derived_state: Callable[[], Mapping] | None = None
+        #: Optional observer called with ``"invalidate"`` /
         #: ``"rematerialize"`` on every state-cache lifecycle event; the
         #: serving engine hooks this into its metrics registry.
         self.on_cache_event: Callable[[str], None] | None = None
-        self._cache_counters = {"advance": 0, "invalidate": 0,
-                                "rematerialize": 0}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -126,66 +127,63 @@ class UpdateProcessor:
 
         Cheaper than :meth:`refresh`: the compiled transition program
         depends only on the rules and survives.  Callers that mutate the
-        database's facts directly (the durable commit paths) must call
-        this; rule changes still require :meth:`refresh`.  Callers that
-        know the induced events of the mutation should prefer
-        :meth:`advance_state_caches`, which keeps the memoised state warm.
+        database's facts directly must call this; rule changes still
+        require :meth:`refresh`.
         """
-        warm = self._upward is not None or self._downward is not None
+        warm = self._old_view is not None
         self._upward = None
         self._downward = None
+        self._old_view = None
         if warm:
             self._cache_event("invalidate")
 
-    def advance_state_caches(self, result: UpwardResult) -> None:
-        """Patch interpreter caches across an *applied* transaction.
+    def use_derived_state(self, source: Callable[[], Mapping]) -> None:
+        """Read old-state derived extensions from *source* instead of
+        materialising them.
 
-        The delta-driven alternative to :meth:`invalidate_state_caches`:
-        *result* must be the full-coverage upward interpretation of a
-        transaction that has since been applied to the database (e.g. from
-        :meth:`check_full`).  Cached old-state materialisations are
-        advanced in place, so the next read starts warm.  Raises
-        :class:`ValueError` on a partial result -- callers should fall
-        back to :meth:`invalidate_state_caches` in that case.
+        *source* returns a live ``predicate -> rows`` map of every derived
+        predicate that its owner (a
+        :class:`~repro.interpretations.maintainers.CountingMaintainer`)
+        keeps current across commits.  It is called again after every
+        :meth:`invalidate_state_caches`, so an owner that rebuilds its
+        state resets the processor and hands out the new map.
         """
-        advanced = False
-        if self._upward is not None:
-            self._upward.advance(result)
-            advanced = True
-        if self._downward is not None:
-            self._downward.advance(result)
-            advanced = True
-        if advanced:
-            self._cache_event("advance")
-
-    @property
-    def has_warm_state(self) -> bool:
-        """Whether an old-state materialisation is cached and advanceable."""
-        return self._upward is not None and self._upward.has_cached_state
-
-    def state_cache_counters(self) -> dict[str, int]:
-        """Lifetime counts of cache advances / invalidations / rebuilds."""
-        return dict(self._cache_counters)
+        self._derived_state = source
+        self.invalidate_state_caches()
 
     def _cache_event(self, kind: str) -> None:
-        self._cache_counters[kind] += 1
         if self.on_cache_event is not None:
             self.on_cache_event(kind)
 
-    def _note_rematerialize(self) -> None:
-        self._cache_event("rematerialize")
+    def _old_state(self) -> OldStateView:
+        """The old state both interpreters read: base facts from the
+        database, derived extensions from the attached source or, without
+        one, from a single materialisation."""
+        if self._old_view is None:
+            if self._derived_state is not None:
+                derived = self._derived_state()
+            else:
+                derived = BottomUpEvaluator(
+                    self._db, self.program.source_rules,
+                    semi_naive=self._upward_options.semi_naive,
+                    engine=self._upward_options.engine,
+                ).materialize().derived
+                self._cache_event("rematerialize")
+            self._old_view = OldStateView(self._db, derived)
+        return self._old_view
 
     def _upward_interpreter(self) -> UpwardInterpreter:
         if self._upward is None:
             self._upward = UpwardInterpreter(
                 self._db, program=self.program, options=self._upward_options,
-                on_materialize=self._note_rematerialize)
+                old_state=self._old_state())
         return self._upward
 
     def _downward_interpreter(self) -> DownwardInterpreter:
         if self._downward is None:
             self._downward = DownwardInterpreter(
-                self._db, program=self.program, options=self._downward_options)
+                self._db, program=self.program, options=self._downward_options,
+                old_state=self._old_state())
         return self._downward
 
     # -- semantics declarations ------------------------------------------------------
@@ -245,18 +243,6 @@ class UpdateProcessor:
         """Integrity constraint checking (5.1.1): upward ``ιIc``."""
         return check_transaction(self._db, transaction,
                                  interpreter=self._upward_interpreter())
-
-    def check_full(self, transaction: Transaction
-                   ) -> tuple[ICCheckResult, UpwardResult]:
-        """Integrity check plus the full-coverage upward interpretation.
-
-        Same verdict as :meth:`check`, but the returned
-        :class:`UpwardResult` covers every derived predicate, so a caller
-        that applies the transaction afterwards can hand it to
-        :meth:`advance_state_caches` instead of invalidating.
-        """
-        return check_transaction_full(self._db, transaction,
-                                      interpreter=self._upward_interpreter())
 
     def inconsistency_witnesses(self) -> dict[str, frozenset]:
         """Constraints the *current* state violates, with witness rows."""

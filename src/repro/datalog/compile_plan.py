@@ -177,8 +177,8 @@ class _Extension:
     """A set of rows plus lazily built, incrementally maintained indexes.
 
     ``rows`` may be a shared mutable set (derived predicates: the very set
-    the evaluator exposes through ``live_extensions``) or a frozenset
-    snapshot (base predicates).  Indexes are keyed by the probed position
+    the evaluator or the counting engine owns) or a frozenset snapshot
+    (base predicates).  Indexes are keyed by the probed position
     combination; single-column indexes use the bare constant as key, wider
     ones a tuple, so the per-probe key build stays minimal.
     """
@@ -579,10 +579,9 @@ def count_derivations(rules: Iterable[Rule], facts, stats) -> Counter:
 class ProgramPlan:
     """Compiled plans for a stratified program, sharing one extension map.
 
-    ``extensions`` is the evaluator's own derived-extension mapping: the
-    plans index and update those very sets, so the evaluator's public
-    surface (``live_extensions``, ``apply_delta``) keeps working on the
-    compiled engine without copying.
+    ``extensions`` is the caller's own derived-extension mapping (the
+    evaluator's, or one recursive component's in the counting engine):
+    the plans index and update those very sets without copying.
     """
 
     def __init__(self, rules: Sequence[Rule], facts,

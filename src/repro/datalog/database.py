@@ -158,6 +158,8 @@ class DeductiveDatabase:
 
     def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
+        #: Bumped by every effective fact or rule change (:attr:`generation`).
+        self._generation = 0
         self._rules: list[Rule] = []
         self._constraints: list[Rule] = []
         self._declared: dict[str, int] = {}
@@ -229,6 +231,14 @@ class DeductiveDatabase:
 
     def _invalidate(self) -> None:
         self._cache_valid = False
+        self._generation += 1
+
+    @property
+    def generation(self) -> int:
+        """A counter that changes whenever facts or rules do: lets readers
+        cache something derived from the whole database (the active
+        domain) and notice when it went stale."""
+        return self._generation
 
     def _validate(self) -> None:
         """Run the full static analysis (arities, allowedness, stratification)."""
@@ -370,7 +380,10 @@ class DeductiveDatabase:
         if self._cache_valid and self._schema is not None \
                 and self._schema.is_derived(predicate):
             raise SafetyError(f"cannot store facts for derived predicate {predicate}")
-        return relation.add(row)
+        if relation.add(row):
+            self._generation += 1
+            return True
+        return False
 
     def remove_fact(self, predicate: str, *args) -> bool:
         """Delete a base fact; returns True when it was present."""
@@ -378,7 +391,10 @@ class DeductiveDatabase:
         relation = self._relations.get(predicate)
         if relation is None:
             return False
-        return relation.discard(row)
+        if relation.discard(row):
+            self._generation += 1
+            return True
+        return False
 
     def has_fact(self, predicate: str, *args) -> bool:
         """Membership test on the extensional part."""

@@ -271,43 +271,6 @@ class BottomUpEvaluator:
             return frozenset(self._extensions.get(predicate, ()))
         return frozenset(self._facts.facts_of(predicate))
 
-    def apply_delta(self, predicate: str, inserted: Iterable[Row] = (),
-                    deleted: Iterable[Row] = ()) -> None:
-        """Adjust a derived extension in place after a known change.
-
-        Used to *advance* a materialisation across a transaction whose
-        induced events are already known (incremental maintenance), instead
-        of recomputing from scratch.  The caller is responsible for the
-        delta being correct; base facts are always read live from the fact
-        source.  Only derived (rule-head) predicates can be patched.
-        """
-        if predicate not in self._derived_predicates:
-            raise ValueError(
-                f"apply_delta targets derived predicates only; "
-                f"{predicate!r} has no rules here")
-        self._ensure_materialized()
-        assert self._extensions is not None
-        rows = self._extensions.setdefault(predicate, set())
-        rows.update(inserted)
-        rows.difference_update(deleted)
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the derived extensions have been computed already."""
-        return self._extensions is not None
-
-    def live_extensions(self) -> Mapping[str, set[Row]]:
-        """The internal derived-extensions mapping, materialising on demand.
-
-        The returned mapping stays *live*: :meth:`apply_delta` patches are
-        visible through it, which is what lets cached fact-source views
-        (:class:`repro.interpretations.upward.OldStateView`) survive an
-        advance without re-snapshotting.  Treat it as read-only.
-        """
-        self._ensure_materialized()
-        assert self._extensions is not None
-        return self._extensions
-
     # -- internals -------------------------------------------------------------
 
     def _ensure_materialized(self) -> None:
@@ -413,8 +376,7 @@ class BottomUpEvaluator:
         compiled = self._engine == ENGINE_COMPILED
         plan = None
         if compiled:
-            # The plan shares (and indexes) the very extension sets above,
-            # so live_extensions/apply_delta keep working unchanged.
+            # The plan shares (and indexes) the very extension sets above.
             plan = ProgramPlan(self._rules, self._facts, extensions,
                                self.stats, self.plan_stats)
         if compiled:

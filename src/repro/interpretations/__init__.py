@@ -5,11 +5,10 @@
 - :mod:`repro.interpretations.naive` -- the semantic oracle: materialise the
   old and the new state and diff them (definitions (1)/(2) directly);
 - :mod:`repro.interpretations.counting` -- counting-based change
-  computation ([GMS93]) for non-recursive views;
+  computation ([GMS93]); recursive components are recomputed and diffed;
 - :mod:`repro.interpretations.maintainers` -- the :class:`StateMaintainer`
   strategies that keep derived state warm across commits; serving engines
-  run the one :func:`select_maintainer` picks for their program (counting,
-  or advance for recursive programs), invalidate is the test oracle;
+  always run counting, invalidate is the test oracle;
 - :mod:`repro.interpretations.downward` -- the downward interpretation
   (§4.2): candidate transactions of base events that satisfy requested
   changes on derived predicates.
@@ -22,15 +21,12 @@ from repro.interpretations.upward import (
 )
 from repro.interpretations.counting import (
     CountingEngine,
-    CountingUnsupportedError,
     DeltaRule,
 )
 from repro.interpretations.maintainers import (
-    AdvancingMaintainer,
     CountingMaintainer,
     InvalidatingMaintainer,
     StateMaintainer,
-    select_maintainer,
 )
 from repro.interpretations.explanation import explain_event
 from repro.interpretations.naive import naive_changes
@@ -46,10 +42,8 @@ from repro.interpretations.downward import (
 )
 
 __all__ = [
-    "AdvancingMaintainer",
     "CountingEngine",
     "CountingMaintainer",
-    "CountingUnsupportedError",
     "DeltaRule",
     "DownwardInterpreter",
     "DownwardOptions",
@@ -64,7 +58,6 @@ __all__ = [
     "forbid_delete",
     "forbid_insert",
     "naive_changes",
-    "select_maintainer",
     "want_delete",
     "want_insert",
 ]

@@ -1,10 +1,10 @@
 """Counting-based change computation (the [GMS93] method the paper cites).
 
-A third executable strategy for the upward interpretation, applicable to
-non-recursive views: store, per derived tuple, the **number of
-derivations** supporting it.  A transaction contributes a *signed* delta of
-derivation counts per rule; induced events are exactly the zero-crossings
-(count 0 → positive: ``ιP``; positive → 0: ``δP``).  Deletions therefore
+A third executable strategy for the upward interpretation: store, per
+derived tuple, the **number of derivations** supporting it.  A
+transaction contributes a *signed* delta of derivation counts per rule;
+induced events are exactly the zero-crossings (count 0 → positive:
+``ιP``; positive → 0: ``δP``).  Deletions therefore
 need no re-derivability query, at the price of keeping the counts across
 transactions -- the classic space/time trade-off against the DRed-style
 hybrid strategy, measured by the SYN8 benchmark.
@@ -29,7 +29,17 @@ underlying database was mutated behind the engine's back -- predicates
 whose rules negate *derived* predicates (the negation boundary) are healed
 with a DRed-style full rederivation (:attr:`CountingEngine.rederive_count`
 observes this); elsewhere the breach raises :class:`SafetyError`.
-Recursive programs raise the typed :class:`CountingUnsupportedError`.
+
+Recursive components (strongly connected components of the dependency
+graph with a cycle) are not counted: derivation counts are not finite
+there, so the engine keeps only their extensions.  A transaction whose
+events reach one of their inputs recomputes the component's least
+fixpoint in the new state on the compiled plans
+(:class:`~repro.datalog.compile_plan.ProgramPlan`) and diffs it against
+the stored extension -- the recompute-and-diff the hybrid upward
+interpretation runs for the same components.  The new extension is
+staged in place of the old one.  Predicates downstream keep counting
+over the events the diff induces.
 """
 
 from __future__ import annotations
@@ -39,9 +49,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.datalog.builtins import evaluate_builtin, is_builtin
-from repro.datalog.compile_plan import count_derivations, order_body
+from repro.datalog.compile_plan import (
+    ProgramPlan,
+    count_derivations,
+    order_body,
+)
 from repro.datalog.database import DeductiveDatabase
-from repro.datalog.errors import SafetyError, StratificationError
+from repro.datalog.errors import SafetyError
 from repro.datalog.evaluation import EvaluationStats
 from repro.datalog.rules import Literal, Rule
 from repro.datalog.stratify import dependency_graph
@@ -57,21 +71,12 @@ Row = tuple[Constant, ...]
 #: Staged-change kinds (see :meth:`CountingEngine.delta`).
 _DELTA = "delta"
 _REPLACE = "replace"
+_RECOMPUTE = "recompute"
 
-#: predicate -> (kind, counter): either a signed count delta to add, or a
-#: full replacement counter from a rederivation.
-StagedCounts = dict[str, tuple[str, Counter]]
-
-
-class CountingUnsupportedError(StratificationError):
-    """The program is outside counting's scope (recursive views).
-
-    Counting-based maintenance is defined for non-recursive stratified
-    programs; recursive views need the DRed delete-rederive algorithm
-    proper.  Subclasses :class:`StratificationError` so existing callers
-    (and the wire error mapping) keep treating it as a stratification
-    problem.
-    """
+#: predicate -> (kind, payload): a signed count delta to add, a full
+#: replacement counter from a rederivation, or the recomputed extension
+#: of a recursive predicate.
+StagedCounts = dict[str, tuple[str, Counter | set]]
 
 
 @dataclass(frozen=True)
@@ -175,28 +180,39 @@ class _StateView:
             return frozenset(derived)
         if self._events is None:
             return self._db.facts_of(predicate)
-        return frozenset(self.lookup(predicate, ()))
+        return ((self._db.facts_of(predicate)
+                 - self._events.get(del_name(predicate), frozenset()))
+                | self._events.get(ins_name(predicate), frozenset()))
 
 
-def _derived_components(program: TransitionProgram
-                        ) -> Iterator[tuple[str, bool]]:
-    """Derived predicates in dependency order, each with its recursion flag.
+#: One derived component in dependency order: its predicates, and for a
+#: recursive component the predicates its rules read from outside it
+#: (``None`` for a single non-recursive predicate, which is counted).
+_Component = tuple[tuple[str, ...], frozenset[str] | None]
 
-    A predicate is recursive when its strongly connected component of the
-    dependency graph has several members or a self-loop.
-    """
+
+def _derived_components(program: TransitionProgram) -> list[_Component]:
+    """Derived predicates grouped by strongly connected component, in
+    dependency order.  A component is recursive when it has several
+    members or a self-loop."""
     graph = dependency_graph(program.source_rules)
+    components: list[_Component] = []
     for component in reversed(graph.strongly_connected_components()):
-        for predicate in component:
-            if predicate in program.derived:
-                yield predicate, (len(component) > 1
-                                  or graph.has_edge(predicate, predicate))
-
-
-def recursive_predicates(program: TransitionProgram) -> frozenset[str]:
-    """Derived predicates of *program* that counting cannot maintain."""
-    return frozenset(predicate for predicate, recursive
-                     in _derived_components(program) if recursive)
+        members = tuple(sorted(p for p in component if p in program.derived))
+        if not members:
+            continue
+        if len(members) == 1 and not graph.has_edge(members[0], members[0]):
+            components.append((members, None))
+            continue
+        inputs = frozenset(
+            literal.predicate
+            for rule in program.source_rules
+            if rule.head.predicate in members
+            for literal in rule.body
+            if literal.predicate not in members
+            and not is_builtin(literal.predicate))
+        components.append((members, inputs))
+    return components
 
 
 class CountingEngine:
@@ -211,10 +227,6 @@ class CountingEngine:
     database -- :meth:`advance` folds the staged change into the counts.
     That split is what lets a serving engine run the integrity check on
     the delta, decide, and only then commit facts and counts together.
-
-    Recursive programs are rejected with the typed
-    :class:`CountingUnsupportedError` (counting is defined for
-    non-recursive views).
     """
 
     def __init__(self, db: DeductiveDatabase,
@@ -222,7 +234,8 @@ class CountingEngine:
                  on_rederive: Callable[[str], None] | None = None):
         self._db = db
         self._program = program or EventCompiler(simplify=True).compile(db)
-        self._order = self._topological_derived()
+        self._components = _derived_components(self._program)
+        self._order = [p for members, _ in self._components for p in members]
         self._rules_of: dict[str, list[Rule]] = {}
         for rule in self._program.source_rules:
             self._rules_of.setdefault(rule.head.predicate, []).append(rule)
@@ -243,20 +256,13 @@ class CountingEngine:
 
     # -- setup -----------------------------------------------------------------
 
-    def _topological_derived(self) -> list[str]:
-        order: list[str] = []
-        for predicate, recursive in _derived_components(self._program):
-            if recursive:
-                raise CountingUnsupportedError(
-                    f"counting-based maintenance requires non-recursive "
-                    f"views; {predicate} is recursive"
-                )
-            order.append(predicate)
-        return order
-
     def _compile_delta_rules(self) -> dict[str, list[DeltaRule]]:
         compiled: dict[str, list[DeltaRule]] = {}
+        recursive = {p for members, inputs in self._components
+                     if inputs is not None for p in members}
         for rule in self._program.source_rules:
+            if rule.head.predicate in recursive:
+                continue  # recomputed, never counted
             body = list(rule.body)
             for index, literal in enumerate(body):
                 if is_builtin(literal.predicate):
@@ -299,11 +305,14 @@ class CountingEngine:
 
     def _initialize_counts(self) -> None:
         old_view = _StateView(self._db, self._extensions, None)
-        for predicate in self._order:
+        for members, inputs in self._components:
+            if inputs is not None:
+                self._extensions.update(self._fixpoint(members, old_view))
+                continue
+            predicate = members[0]
             self._counts[predicate] = counter = self._derive_counts(
                 predicate, old_view)
-            self._extensions[predicate] = {r for r, c in counter.items()
-                                           if c > 0}
+            self._extensions[predicate] = set(counter)
 
     def _derive_counts(self, predicate: str, view: _StateView) -> Counter:
         """Derivation counts of *predicate* computed from scratch in *view*
@@ -311,7 +320,23 @@ class CountingEngine:
         return count_derivations(self._rules_of.get(predicate, ()), view,
                                  EvaluationStats())
 
+    def _fixpoint(self, members: tuple[str, ...],
+                  view: _StateView) -> dict[str, set[Row]]:
+        """Least fixpoint of one recursive component over *view*, by the
+        compiled plans' semi-naive evaluation."""
+        rules = [rule for predicate in members
+                 for rule in self._rules_of.get(predicate, ())]
+        extensions: dict[str, set[Row]] = {p: set() for p in members}
+        ProgramPlan(rules, view, extensions, EvaluationStats()) \
+            .evaluate_stratum(frozenset(members), range(len(rules)))
+        return extensions
+
     # -- public API ------------------------------------------------------------
+
+    @property
+    def program(self) -> TransitionProgram:
+        """The compiled transition program the counts were built for."""
+        return self._program
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -332,9 +357,23 @@ class CountingEngine:
         """Current (maintained) extension of a derived predicate."""
         return frozenset(self._extensions.get(predicate, frozenset()))
 
+    @property
+    def extensions(self) -> Mapping[str, set[Row]]:
+        """The live map of every derived extension (read-only).
+
+        :meth:`advance` updates it in place -- a replaced predicate gets a
+        new set under the same key -- so a view over the map reads the
+        current state without copying.
+        """
+        return self._extensions
+
     def count(self, predicate: str, row: Row) -> int:
-        """Current derivation count of one derived tuple."""
-        return self._counts.get(predicate, Counter()).get(row, 0)
+        """Current derivation count of one derived tuple (1 for a row of
+        a recursive predicate, which is recomputed, not counted)."""
+        counts = self._counts.get(predicate)
+        if counts is None:
+            return int(row in self._extensions.get(predicate, ()))
+        return counts.get(row, 0)
 
     def delta(self, transaction: Transaction) -> tuple[UpwardResult,
                                                        StagedCounts]:
@@ -344,7 +383,9 @@ class CountingEngine:
         count changes to hand to :meth:`advance` once the transaction
         has actually been applied to the database.  The computation only
         walks delta rules whose delta literal has events, so cost is
-        proportional to the transaction and its consequences.
+        proportional to the transaction and its consequences -- except
+        that a recursive component whose inputs have events is recomputed
+        whole.
         """
         transaction.check_base_only(self._db)
         transaction = transaction.normalized(self._db)
@@ -356,50 +397,26 @@ class CountingEngine:
         deletions: dict[str, frozenset[Row]] = {}
         staged: StagedCounts = {}
 
-        for predicate in self._order:
-            delta_counter: Counter = Counter()
-            for delta_rule in self._delta_rules.get(predicate, ()):
-                self._apply_delta_rule(delta_rule, events, old_view, new_view,
-                                       delta_counter)
-            counter = self._counts[predicate]
-            gained: set[Row] = set()
-            lost: set[Row] = set()
-            replacement: Counter | None = None
-            for row, change in delta_counter.items():
-                if not change:
-                    continue
-                before = counter.get(row, 0)
-                after = before + change
-                if after < 0:
-                    # Invariant breach: counts are stale (e.g. the
-                    # database was mutated behind the engine's back).
-                    if predicate not in self._negation_boundary:
-                        raise SafetyError(
-                            f"counting invariant violated for "
-                            f"{predicate}{row}: {before} + {change}"
-                        )
-                    replacement = self._rederive(predicate, new_view)
-                    break
-                if before == 0 and after > 0:
-                    gained.add(row)
-                elif before > 0 and after == 0:
-                    lost.add(row)
-            if replacement is not None:
-                new_ext = {r for r, c in replacement.items() if c > 0}
-                old_ext = self._extensions[predicate]
-                gained = new_ext - old_ext
-                lost = old_ext - new_ext
-                staged[predicate] = (_REPLACE, replacement)
-            elif delta_counter:
-                staged[predicate] = (_DELTA, delta_counter)
-            if gained:
-                insertions[predicate] = frozenset(gained)
-                events[ins_name(predicate)] = gained
-            if lost:
-                deletions[predicate] = frozenset(lost)
-                events[del_name(predicate)] = lost
-            new_derived[predicate] = _AdjustedSet(
-                self._extensions[predicate], gained, lost)
+        for members, inputs in self._components:
+            if inputs is None:
+                changes = [self._counted(members[0], events, old_view,
+                                         new_view)]
+            elif any(ins_name(p) in events or del_name(p) in events
+                     for p in inputs):
+                changes = self._recomputed(members, new_view)
+            else:
+                changes = [(p, set(), set(), None) for p in members]
+            for predicate, gained, lost, change in changes:
+                if change is not None:
+                    staged[predicate] = change
+                if gained:
+                    insertions[predicate] = frozenset(gained)
+                    events[ins_name(predicate)] = gained
+                if lost:
+                    deletions[predicate] = frozenset(lost)
+                    events[del_name(predicate)] = lost
+                new_derived[predicate] = _AdjustedSet(
+                    self._extensions[predicate], gained, lost)
 
         result = UpwardResult(insertions, deletions, transaction,
                               covered=frozenset(self._order))
@@ -413,10 +430,13 @@ class CountingEngine:
         proportional to the number of changed (predicate, row) pairs.
         """
         for predicate, (kind, counter) in staged.items():
+            if kind == _RECOMPUTE:  # *counter* is the new extension
+                self._extensions[predicate] = counter
+                continue
             if kind == _REPLACE:
+                # A replacement counts from scratch: every count is positive.
                 self._counts[predicate] = counter
-                self._extensions[predicate] = {r for r, c in counter.items()
-                                               if c > 0}
+                self._extensions[predicate] = set(counter)
                 continue
             counts = self._counts[predicate]
             extension = self._extensions[predicate]
@@ -452,6 +472,56 @@ class CountingEngine:
         return result
 
     # -- delta computation -----------------------------------------------------
+
+    def _counted(self, predicate: str, events: Mapping[str, set[Row]],
+                 old_view: _StateView, new_view: _StateView
+                 ) -> tuple[str, set[Row], set[Row], tuple | None]:
+        """(predicate, gained, lost, staged change) of one non-recursive
+        predicate, from its delta rules."""
+        delta_counter: Counter = Counter()
+        for delta_rule in self._delta_rules.get(predicate, ()):
+            self._apply_delta_rule(delta_rule, events, old_view, new_view,
+                                   delta_counter)
+        counter = self._counts[predicate]
+        gained: set[Row] = set()
+        lost: set[Row] = set()
+        for row, change in delta_counter.items():
+            if not change:
+                continue
+            before = counter.get(row, 0)
+            after = before + change
+            if after < 0:
+                # Invariant breach: counts are stale (e.g. the
+                # database was mutated behind the engine's back).
+                if predicate not in self._negation_boundary:
+                    raise SafetyError(
+                        f"counting invariant violated for "
+                        f"{predicate}{row}: {before} + {change}"
+                    )
+                replacement = self._rederive(predicate, new_view)
+                new_ext = set(replacement)
+                old_ext = self._extensions[predicate]
+                return (predicate, new_ext - old_ext, old_ext - new_ext,
+                        (_REPLACE, replacement))
+            if before == 0 and after > 0:
+                gained.add(row)
+            elif before > 0 and after == 0:
+                lost.add(row)
+        return (predicate, gained, lost,
+                (_DELTA, delta_counter) if delta_counter else None)
+
+    def _recomputed(self, members: tuple[str, ...], new_view: _StateView
+                    ) -> list[tuple[str, set[Row], set[Row], tuple | None]]:
+        """Recompute a recursive component in the new state and diff it
+        against the stored extensions; changed members stage their new
+        extension."""
+        changes = []
+        for predicate, rows in self._fixpoint(members, new_view).items():
+            old = self._extensions[predicate]
+            gained, lost = rows - old, old - rows
+            change = (_RECOMPUTE, rows) if gained or lost else None
+            changes.append((predicate, gained, lost, change))
+        return changes
 
     def _apply_delta_rule(self, delta_rule: DeltaRule,
                           events: Mapping[str, set[Row]],

@@ -59,6 +59,7 @@ from repro.events.naming import (
     new_name,
     parse_prefixed,
 )
+from repro.interpretations.upward import OldStateView
 from repro.obs import tracer as obs
 
 Row = tuple[Constant, ...]
@@ -282,18 +283,29 @@ def request_of(event: Event) -> Literal:
 
 
 class DownwardInterpreter:
-    """Computes the downward interpretation against one database state."""
+    """Computes the downward interpretation against one database state.
+
+    Old database literals are answered from a materialisation of the
+    program made on first use, or from an *old_state* view passed in (the
+    update processor's, over the counting maintainer's live extensions),
+    which its owner keeps current.
+    """
 
     def __init__(self, db: DeductiveDatabase,
                  program: TransitionProgram | None = None,
                  options: DownwardOptions | None = None,
-                 simplify: bool = True):
+                 simplify: bool = True,
+                 old_state: OldStateView | None = None):
         self._db = db
         self._options = options or DownwardOptions()
         self._program = program or EventCompiler(simplify=simplify).compile(db)
-        self._old = BottomUpEvaluator(db, self._program.source_rules,
-                                      engine=self._options.engine)
-        self._domain: frozenset[Constant] | None = None
+        if old_state is not None:
+            self._old = BottomUpEvaluator(old_state, [])
+        else:
+            self._old = BottomUpEvaluator(db, self._program.source_rules,
+                                          engine=self._options.engine)
+        #: The active domain, with the database generation it was read at.
+        self._domain: tuple[int, frozenset[Constant]] | None = None
         self._request_constants: frozenset[Constant] = frozenset()
         self.stats = DownwardStats()
 
@@ -310,35 +322,11 @@ class DownwardInterpreter:
         ``ιLa(Maria)`` makes ``Maria`` part of the domain even before any
         fact mentions her).
         """
-        if self._domain is None:
-            self._domain = self._db.active_domain() | self._options.extra_domain
-        return self._domain | self._request_constants
-
-    def advance(self, result) -> None:
-        """Advance the cached old state across an applied transaction.
-
-        The downward counterpart of
-        :meth:`~repro.interpretations.upward.UpwardInterpreter.advance`:
-        *result* is the full-coverage :class:`UpwardResult` of a
-        transaction that has already been applied to the database.  The
-        memoised derived extensions are patched in place (when they have
-        been materialised at all) and the cached active domain is dropped,
-        so the next interpretation runs against the new state without a
-        from-scratch re-materialisation.  Partial results raise
-        :class:`ValueError`.
-        """
-        if result.covered is None or self._program.derived - result.covered:
-            raise ValueError(
-                "cannot advance from a partial UpwardResult: advancing "
-                "needs deltas for every derived predicate; recompute with "
-                "an unfiltered interpret()")
-        if self._old.materialized:
-            for predicate in self._program.derived:
-                inserted = result.insertions_of(predicate)
-                deleted = result.deletions_of(predicate)
-                if inserted or deleted:
-                    self._old.apply_delta(predicate, inserted, deleted)
-        self._domain = None
+        generation = self._db.generation
+        if self._domain is None or self._domain[0] != generation:
+            self._domain = (generation, self._db.active_domain()
+                            | self._options.extra_domain)
+        return self._domain[1] | self._request_constants
 
     # -- public API ------------------------------------------------------------------
 

@@ -22,10 +22,12 @@ apply facts and caches together) the base class adds the finer-grained hooks
 the default implementations express the conservative strategy (check
 through the processor, re-derive from scratch next time).
 
-The serving engine does not let anyone choose: :func:`select_maintainer`
-picks counting for non-recursive programs and advancing otherwise.
-:class:`InvalidatingMaintainer` is never selected; it stays as the
-from-scratch oracle that tests and benchmarks compare against.
+The serving engine does not let anyone choose: it always runs
+:class:`CountingMaintainer`, whose engine also keeps recursive components.
+The processor's interpreters read their old-state derived extensions from
+the counting engine's live map, so there is one copy of derived state.
+:class:`InvalidatingMaintainer` stays as the from-scratch oracle that
+tests and benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -34,12 +36,8 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.datalog.database import GLOBAL_IC, DeductiveDatabase
-from repro.datalog.errors import DatalogError
 from repro.events.events import Transaction
-from repro.interpretations.counting import (
-    CountingEngine,
-    recursive_predicates,
-)
+from repro.interpretations.counting import CountingEngine
 from repro.interpretations.upward import UpwardResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -144,8 +142,8 @@ class StateMaintainer(ABC):
 class InvalidatingMaintainer(StateMaintainer):
     """Oracle strategy: caches are dropped on every write.
 
-    Never selected by :func:`select_maintainer`; tests and benchmarks use
-    it as the from-scratch baseline the incremental strategies must match.
+    Never served; tests and benchmarks use it as the from-scratch baseline
+    the counting maintainer must match.
     """
 
     name = "invalidate"
@@ -160,44 +158,6 @@ class InvalidatingMaintainer(StateMaintainer):
         self._processor.invalidate_state_caches()
 
 
-class AdvancingMaintainer(StateMaintainer):
-    """Patch warm interpreter caches with the induced events."""
-
-    name = "advance"
-    sources_deltas = True
-
-    def apply(self, transaction: Transaction) -> UpwardResult:
-        result = self._processor.upward(transaction)
-        self._apply_base(result.transaction)
-        self.advance(result)
-        return result
-
-    def reset(self) -> None:
-        self._processor.invalidate_state_caches()
-
-    def check_full(self, transaction: Transaction) \
-            -> tuple["ICCheckResult", UpwardResult | None]:
-        return self._processor.check_full(transaction)
-
-    def interpret(self, transaction: Transaction) -> UpwardResult | None:
-        if not self._processor.has_warm_state:
-            return None
-        try:
-            return self._processor.upward(transaction)
-        except DatalogError:
-            return None
-
-    def advance(self, result: UpwardResult | None) -> None:
-        if result is None:
-            self.reset()
-            return
-        try:
-            self._processor.advance_state_caches(result)
-        except ValueError:
-            # Partial coverage: fall back to full invalidation.
-            self._processor.invalidate_state_caches()
-
-
 class CountingMaintainer(StateMaintainer):
     """Maintain per-tuple derivation counts during the commit ([GMS93]).
 
@@ -206,6 +166,10 @@ class CountingMaintainer(StateMaintainer):
     extension standing (so the consistency precondition is O(1)), and
     stages count changes between :meth:`check_full`/:meth:`interpret`
     and :meth:`advance` so facts and counts commit together.
+
+    The processor's interpreters read their old-state derived extensions
+    from the engine's live map (:attr:`CountingEngine.extensions`), so
+    they keep no copy of their own and nothing patches them on commit.
     """
 
     name = "counting"
@@ -215,6 +179,8 @@ class CountingMaintainer(StateMaintainer):
         super().__init__(processor)
         self._engine: CountingEngine | None = None
         self._staged: tuple[UpwardResult, dict] | None = None
+        processor.use_derived_state(
+            lambda: self.counting_engine().extensions)
 
     @property
     def active(self) -> bool:
@@ -222,24 +188,23 @@ class CountingMaintainer(StateMaintainer):
         return self._engine is not None
 
     def counting_engine(self) -> CountingEngine:
-        """The underlying engine, bootstrapping counts on first use."""
-        if self._engine is None:
+        """The underlying engine, bootstrapping counts on first use and
+        after a rule change recompiled the processor's program."""
+        program = self._processor.program
+        if self._engine is None or self._engine.program is not program:
             self._engine = CountingEngine(
-                self.db, program=self._processor.program,
+                self.db, program=program,
                 on_rederive=lambda predicate: self._event("rederive"))
             self._event("bootstrap")
         return self._engine
 
     def bootstrap(self, db: DeductiveDatabase | None = None) -> None:
         super().bootstrap(db)
-        self._engine = None
-        self._staged = None
+        self.reset()
         self._event("delta_rules", self.counting_engine().n_delta_rules)
 
     def apply(self, transaction: Transaction) -> UpwardResult:
-        result = self.counting_engine().apply(transaction)
-        self._advance_interpreters(result)
-        return result
+        return self.counting_engine().apply(transaction)
 
     def extension(self, predicate: str) -> frozenset:
         return self.counting_engine().extension(predicate)
@@ -298,33 +263,10 @@ class CountingMaintainer(StateMaintainer):
             self.reset()
             return
         self._engine.advance(staged[1])
-        self._advance_interpreters(result)
-
-    def _advance_interpreters(self, result: UpwardResult) -> None:
-        """Keep any warm read-side interpreter caches moving too."""
-        try:
-            self._processor.advance_state_caches(result)
-        except ValueError:
-            self._processor.invalidate_state_caches()
-
-
-def select_maintainer(processor: "UpdateProcessor") -> StateMaintainer:
-    """The maintainer a serving engine runs for *processor*'s program.
-
-    Counting maintains derivation counts in time proportional to the
-    delta but is defined only for non-recursive views, so a program with
-    a recursive derived predicate gets the advancing maintainer instead
-    (the same SCC test :class:`CountingEngine` applies at bootstrap).
-    """
-    if recursive_predicates(processor.program):
-        return AdvancingMaintainer(processor)
-    return CountingMaintainer(processor)
 
 
 __all__ = [
-    "AdvancingMaintainer",
     "CountingMaintainer",
     "InvalidatingMaintainer",
     "StateMaintainer",
-    "select_maintainer",
 ]

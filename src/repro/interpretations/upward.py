@@ -35,7 +35,7 @@ invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.evaluation import BottomUpEvaluator, EvaluationStats
@@ -184,13 +184,17 @@ def _filter_rows(rows: Iterable[Row], pattern: Sequence[Term]) -> Iterator[Row]:
 
 
 class OldStateView:
-    """Old state: base facts from the database, derived from a materialisation."""
+    """Old state: base facts from the database, derived predicates from a
+    ``predicate -> rows`` map -- a materialisation, or a maintainer's live
+    extensions (:attr:`~repro.interpretations.counting.CountingEngine.
+    extensions`) read in place."""
 
-    def __init__(self, db: DeductiveDatabase, derived: Mapping[str, frozenset[Row]]):
+    def __init__(self, db: DeductiveDatabase,
+                 derived: Mapping[str, AbstractSet[Row]]):
         self._db = db
         self._derived = derived
 
-    def facts_of(self, predicate: str) -> frozenset[Row]:
+    def facts_of(self, predicate: str) -> AbstractSet[Row]:
         if predicate in self._derived:
             return self._derived[predicate]
         return self._db.facts_of(predicate)
@@ -272,27 +276,29 @@ def _event_rows(transaction: Transaction) -> dict[str, set[Row]]:
 class UpwardInterpreter:
     """Computes the upward interpretation for transactions on one database.
 
-    The interpreter materialises the old state once at construction and
-    reuses it across :meth:`interpret` calls, which is what makes the hybrid
+    The interpreter materialises the old state on first use and reuses it
+    across :meth:`interpret` calls, which is what makes the hybrid
     strategy incremental.  If the database is mutated afterwards, build a
-    new interpreter (or call :meth:`refresh`).
+    new interpreter, call :meth:`refresh`, or :meth:`advance` it.
+
+    An *old_state* passed in is read instead and never materialised or
+    patched here: its owner keeps it current (the update processor hands
+    in the counting maintainer's live extensions).
     """
 
     def __init__(self, db: DeductiveDatabase,
                  program: TransitionProgram | None = None,
                  options: UpwardOptions | None = None,
                  simplify: bool = True,
-                 on_materialize: Callable[[], None] | None = None):
+                 old_state: OldStateView | None = None):
         self._db = db
         self._options = options or UpwardOptions()
         self._program = program or EventCompiler(simplify=simplify).compile(db)
-        self._old_evaluator: BottomUpEvaluator | None = None
-        self._old_view: OldStateView | None = None
+        self._old_view = old_state
+        #: The materialisation this interpreter owns (and :meth:`advance`
+        #: patches); ``None`` while cold or when reading an *old_state*.
+        self._own_state: dict[str, set[Row]] | None = None
         self._scc_order: list[frozenset[str]] | None = None
-        #: Invoked each time the old state is materialised from scratch
-        #: (the expensive ``upward.old_state`` span); lets owners count
-        #: cache rematerialisations.
-        self.on_materialize = on_materialize
 
     @property
     def program(self) -> TransitionProgram:
@@ -301,8 +307,8 @@ class UpwardInterpreter:
 
     def refresh(self) -> None:
         """Forget cached state after the underlying database changed."""
-        self._old_evaluator = None
-        self._old_view = None
+        if self._own_state is not None:
+            self._old_view = self._own_state = None
         self._scc_order = None
         self._program = EventCompiler(
             simplify=self._program.simplified
@@ -361,7 +367,9 @@ class UpwardInterpreter:
         hand-built) result raises :class:`ValueError` instead of silently
         corrupting the uncovered extensions.  When no old state is cached
         yet the call is a no-op: the next interpretation materialises the
-        (already advanced) database directly.
+        (already advanced) database directly.  An interpreter reading
+        someone else's *old_state* raises :class:`ValueError`: that state
+        is advanced by its owner.
         """
         if result.covered is None:
             raise ValueError(
@@ -375,26 +383,27 @@ class UpwardInterpreter:
                 "needs deltas for every derived predicate, but this one "
                 "misses {}; recompute with an unfiltered "
                 "interpret()".format(", ".join(sorted(missing))))
-        if self._old_evaluator is None:
+        if self._old_view is None:
             # Nothing cached: materialising now would read the *new* state
             # and then double-apply the deltas.  Stay cold instead.
             return
+        if self._own_state is None:
+            raise ValueError(
+                "this interpreter reads an old state it does not own; "
+                "advance that state's owner instead")
         for predicate in self._program.derived:
-            inserted = result.insertions_of(predicate)
-            deleted = result.deletions_of(predicate)
-            if inserted or deleted:
-                self._old_evaluator.apply_delta(predicate, inserted, deleted)
+            rows = self._own_state.setdefault(predicate, set())
+            rows.update(result.insertions_of(predicate))
+            rows.difference_update(result.deletions_of(predicate))
 
     @property
     def has_cached_state(self) -> bool:
-        """Whether an old-state materialisation is currently cached."""
-        return self._old_evaluator is not None
+        """Whether an old state is currently cached."""
+        return self._old_view is not None
 
     def old_extension(self, predicate: str) -> frozenset[Row]:
         """The old-state extension of any predicate."""
-        self._ensure_old_state()
-        assert self._old_evaluator is not None
-        return self._old_evaluator.extension(predicate)
+        return frozenset(self.old_state_view().facts_of(predicate))
 
     def old_state_view(self) -> OldStateView:
         """A fact-source over the whole old state (base + derived)."""
@@ -405,26 +414,20 @@ class UpwardInterpreter:
     # -- old state ---------------------------------------------------------------
 
     def _ensure_old_state(self) -> None:
-        if self._old_evaluator is not None:
+        if self._old_view is not None:
             return
         with obs.span("upward.old_state") as span:
-            self._old_evaluator = BottomUpEvaluator(
+            materialization = BottomUpEvaluator(
                 self._db, self._program.source_rules,
                 semi_naive=self._options.semi_naive,
                 engine=self._options.engine,
-            )
-            materialization = self._old_evaluator.materialize()
+            ).materialize()
             if obs.enabled():
                 span.add("derived_rows", sum(
                     len(rows) for rows in materialization.derived.values()))
-        # The view must read the evaluator's *live* extensions, not the
-        # frozen materialization snapshot: advance() patches the evaluator
-        # in place and transition rules that mention derived predicates in
-        # their old-state literals must see the patched rows.
-        self._old_view = OldStateView(self._db,
-                                      self._old_evaluator.live_extensions())
-        if self.on_materialize is not None:
-            self.on_materialize()
+        self._own_state = {predicate: set(rows) for predicate, rows
+                           in materialization.derived.items()}
+        self._old_view = OldStateView(self._db, self._own_state)
 
     # -- flat strategy -------------------------------------------------------------
 
@@ -469,10 +472,15 @@ class UpwardInterpreter:
         relevant = graph.reversed().reachable_from(list(predicates))
         return {p for p in relevant if p in self._program.derived} | set(predicates)
 
+    def _old_rows(self, predicate: str) -> AbstractSet[Row]:
+        """Old-state rows of a derived predicate, read in place."""
+        assert self._old_view is not None
+        return self._old_view.facts_of(predicate)
+
     def _interpret_hybrid(self, transaction: Transaction,
                           predicates: Iterable[str] | None) -> UpwardResult:
         self._ensure_old_state()
-        assert self._old_evaluator is not None and self._old_view is not None
+        assert self._old_view is not None
         stats = EvaluationStats()
         events = _event_rows(transaction)
         new_derived: dict[str, frozenset[Row]] = {}
@@ -509,7 +517,7 @@ class UpwardInterpreter:
                     scc_span.add("deletions", sum(
                         len(rows) for rows in scc_del.values()))
             for predicate in scc:
-                old_rows = self._old_evaluator.extension(predicate)
+                old_rows = self._old_rows(predicate)
                 ins_rows = frozenset(scc_ins.get(predicate, frozenset()))
                 del_rows = frozenset(scc_del.get(predicate, frozenset()))
                 if ins_rows:
@@ -530,13 +538,12 @@ class UpwardInterpreter:
                          new_view: NewStateView,
                          stats: EvaluationStats) -> tuple[dict, dict]:
         """Delta evaluation of one non-recursive derived predicate."""
-        assert self._old_evaluator is not None
         joiner_old = BottomUpEvaluator(transition_view, [])
         joiner_new = BottomUpEvaluator(new_view, [])
         scc_ins: dict[str, set[Row]] = {}
         scc_del: dict[str, set[Row]] = {}
         for predicate in scc:
-            old_rows = self._old_evaluator.extension(predicate)
+            old_rows = self._old_rows(predicate)
             inserted: set[Row] = set()
             delete_candidates: set[Row] = set()
             for transition in self._program.transition_rules_of(predicate):
@@ -588,7 +595,6 @@ class UpwardInterpreter:
     def _recompute_scc(self, scc: frozenset[str], new_view: NewStateView,
                        stats: EvaluationStats) -> tuple[dict, dict]:
         """Recompute a recursive component in the new state and diff."""
-        assert self._old_evaluator is not None
         scc_rules = [r for r in self._program.source_rules
                      if r.head.predicate in scc]
         evaluator = BottomUpEvaluator(
@@ -599,7 +605,7 @@ class UpwardInterpreter:
         scc_del: dict[str, set[Row]] = {}
         for predicate in scc:
             new_rows = evaluator.extension(predicate)
-            old_rows = self._old_evaluator.extension(predicate)
+            old_rows = self._old_rows(predicate)
             gained = set(new_rows - old_rows)
             lost = set(old_rows - new_rows)
             if gained:

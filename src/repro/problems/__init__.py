@@ -42,7 +42,6 @@ from repro.problems.ic_checking import (
     ICCheckResult,
     check_restores_consistency,
     check_transaction,
-    check_transaction_full,
     current_violations,
     is_consistent,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "can_reach_inconsistency",
     "check_restores_consistency",
     "check_transaction",
-    "check_transaction_full",
     "classification_table",
     "constraints_satisfiable",
     "current_violations",

@@ -131,42 +131,6 @@ def check_transaction(db: DeductiveDatabase, transaction: Transaction,
     )
 
 
-def check_transaction_full(db: DeductiveDatabase, transaction: Transaction,
-                           interpreter: UpwardInterpreter | None = None):
-    """Integrity check via a *full-coverage* upward interpretation.
-
-    Same verdict as :func:`check_transaction`, but the interpretation is
-    not restricted to the constraint predicates: the returned
-    ``(ICCheckResult, UpwardResult)`` pair carries induced events for
-    *every* derived predicate, so callers that go on to apply the
-    transaction can advance memoised state
-    (:meth:`UpwardInterpreter.advance`) instead of invalidating it.  The
-    extra cost over the filtered check is one incremental pass over the
-    non-constraint predicates -- usually far cheaper than the from-scratch
-    re-materialisation it saves.
-    """
-    interpreter = interpreter or UpwardInterpreter(db)
-    if interpreter.old_extension(GLOBAL_IC):
-        raise StateError(
-            "integrity checking requires a consistent state; the database "
-            "already violates some constraint (Ic holds). Use "
-            "repro.problems.repair to fix it first."
-        )
-    result = interpreter.interpret(transaction)
-    constraint_predicates = set(_constraint_predicates(db))
-    violated = {
-        predicate: rows
-        for predicate, rows in result.insertions.items()
-        if predicate in constraint_predicates and rows
-    }
-    verdict = ICCheckResult(
-        ok=not result.insertions_of(GLOBAL_IC),
-        violations=violated,
-        transaction=result.transaction,
-    )
-    return verdict, result
-
-
 def current_violations(db: DeductiveDatabase,
                        interpreter: UpwardInterpreter | None = None
                        ) -> dict[str, frozenset[Row]]:

@@ -12,8 +12,8 @@ Concurrency model
   ``query`` requests share the read lock.  Requests that go through the
   update processor's cached interpreters (``check``, ``upward``,
   ``monitor``, ``downward``, ``repair``) additionally serialise on an
-  interpreter mutex, because the interpreters memoise old-state
-  materialisations and are not re-entrant.
+  interpreter mutex, because the interpreters keep per-call state and
+  are not re-entrant.
 - *Group commit.*  ``commit`` enqueues the transaction and the first thread
   through the batch lock becomes the leader: it drains the queue, packs up
   to ``max_batch`` transactions with pairwise-disjoint fact sets into one
@@ -41,18 +41,19 @@ Concurrency model
   timeout, or a crash between fsync and ack -- returns the original result
   instead of double-applying.  A duplicate arriving while the first
   attempt is still queued joins its wait instead of enqueuing again.
-- *One maintainer for derived state.*  At open the engine picks its
-  :class:`~repro.interpretations.maintainers.StateMaintainer` from the
-  program (:func:`~repro.interpretations.maintainers.select_maintainer`):
-  counting for non-recursive programs, advance otherwise.  Every commit
-  path -- group fast path, serial slow path, unchecked commits, 2PC
+- *One maintainer, one copy of derived state.*  Every program, recursive
+  or not, is served by the
+  :class:`~repro.interpretations.maintainers.CountingMaintainer`.  Every
+  commit path -- group fast path, serial slow path, unchecked commits, 2PC
   decisions -- computes the induced events through it, applies the facts
   and then **advances** the maintained state with those events instead of
-  dropping it; readers interleaved with commits keep hitting warm state.
-  Only checkpoints and advance failures reset it.  Surfaced as
-  ``cache.advance`` / ``cache.invalidate`` / ``cache.rematerialize`` and
-  ``ivm.*`` counters, the ``maintainer`` name and a ``cache_epoch`` in
-  ``stats``; see docs/SERVER.md for the lifecycle table.
+  dropping it.  The update processor's interpreters (``check``,
+  ``upward``, ``downward`` ...) read the maintainer's live extensions, so
+  readers interleaved with commits never materialise.  Only advance
+  failures reset it; a checkpoint leaves it alone.  Surfaced as
+  ``cache.invalidate`` / ``cache.rematerialize`` and ``ivm.*`` counters,
+  the ``maintainer`` name and a ``cache_epoch`` in ``stats``; see
+  docs/SERVER.md for the lifecycle table.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ from repro.events.events import Transaction
 from repro.interpretations.downward import DownwardOptions
 from repro.interpretations.upward import UpwardOptions, UpwardResult
 from repro.interpretations.maintainers import (
+    CountingMaintainer,
     StateMaintainer,
-    select_maintainer,
 )
 from repro.datalog.errors import SubscriptionError
 from repro.obs import tracer as obs
@@ -371,8 +372,8 @@ class DatabaseEngine:
         default commit policy (``reject`` / ``maintain`` / ``ignore``);
         individual commits may override it.
 
-    The derived-state maintainer is not a parameter: it is picked from
-    the program at open (see :func:`select_maintainer` and docs/IVM.md).
+    The derived-state maintainer is not a parameter: it is always
+    :class:`CountingMaintainer` (see docs/IVM.md).
     The evaluation engine is the library default (compiled join plans,
     or ``REPRO_EVAL_ENGINE``), resolved once at open; see
     docs/EVALUATION.md.
@@ -403,7 +404,8 @@ class DatabaseEngine:
         #: publish their induced deltas here (see docs/SUBSCRIPTIONS.md).
         self.feed = FeedBus(self.metrics)
         self._processor.on_cache_event = self._record_cache_event
-        self._maintainer = select_maintainer(self._processor)
+        self._maintainer: StateMaintainer = CountingMaintainer(
+            self._processor)
         self._maintainer.on_event = self._record_ivm_event
         # Pay any one-time materialisation (counting's derivation counts)
         # at open rather than on the first commit.
@@ -474,7 +476,7 @@ class DatabaseEngine:
 
     @property
     def maintainer(self) -> StateMaintainer:
-        """The state maintainer picked for the program at open."""
+        """The state maintainer that owns the derived state."""
         return self._maintainer
 
     @property
@@ -726,15 +728,6 @@ class DatabaseEngine:
         if not predicates:
             return None
         return self._feed_extents(predicates)
-
-    def _feed_resync(self, reason: str) -> None:
-        """Tell subscribers delta coverage was lost (never raises)."""
-        if not self.feed.active:
-            return
-        try:
-            self.feed.publish_resync(epoch=self._cache_epoch, reason=reason)
-        except Exception:
-            logger.exception("change-feed resync publish failed")
 
     # -- write requests --------------------------------------------------------
 
@@ -1246,20 +1239,16 @@ class DatabaseEngine:
         transaction each serial order would reject cannot hide behind its
         batch mates) and the merged batch must pass as a whole (so the
         post-batch state is consistent).  All checks hit the same old
-        state, so the upward interpreter's memoised materialisations are
-        reused across the whole batch -- that, plus the single fsync, is
-        the amortisation group commit pays for.
+        state -- that, plus the single fsync, is the amortisation group
+        commit pays for.
 
         Derived-state maintenance is delegated to the engine's
         :class:`StateMaintainer`: under counting the check itself *is*
         the delta-rule evaluation, and the staged derivation counts are
         folded in after the batch is applied -- the view maintenance the
         paper reads out of the event rules, applied to our own serving
-        cache; under advance the merged check runs with *full* predicate
-        coverage and its induced events patch the memoised derived
-        extensions in place (:meth:`UpdateProcessor.advance_state_caches`).
-        When no check ran (no constraints, or an inconsistent old state)
-        the maintainer still interprets the batch; only an advance
+        cache.  When no check ran (no constraints, or an inconsistent old
+        state) the maintainer still interprets the batch; only an advance
         failure falls back to a full maintainer reset.
         """
         db = self.db
@@ -1361,13 +1350,10 @@ class DatabaseEngine:
     def checkpoint(self) -> None:
         """Fold the WAL into a fresh snapshot (write-locked)."""
         self._ensure_open()
-        with self.metrics.time("checkpoint"), self._rwlock.write(), \
-                self._interp_lock:
+        with self.metrics.time("checkpoint"), self._rwlock.write():
+            # Only the files change: the in-memory state, and so the
+            # maintained derived state and the feed, carry on as they are.
             self._store.checkpoint()
-            # Snapshot/recovery boundaries rebuild from disk: conservative
-            # full maintainer reset rather than trusting the warm state.
-            self._maintainer.reset()
-            self._feed_resync("checkpoint")
 
     def close(self, checkpoint: bool = True) -> None:
         """Refuse further requests; optionally checkpoint the WAL."""

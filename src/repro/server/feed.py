@@ -1,11 +1,11 @@
 """Standing-query subscriptions: the change-feed bus behind ``subscribe``.
 
 Every commit already computes the induced deltas of the derived predicates
-(upward interpretation on the slow path, counting/advance maintainers on
-the fast path).  This module turns those deltas into a push feed: a
-:class:`FeedBus` holds the registered standing queries and, when the
-engine publishes a commit's delta, fans a per-subscription *frame* out to
-each subscriber whose goals the delta touches.
+(the counting maintainer, on every commit path).  This module turns those
+deltas into a push feed: a :class:`FeedBus` holds the registered standing
+queries and, when the engine publishes a commit's delta, fans a
+per-subscription *frame* out to each subscriber whose goals the delta
+touches.
 
 Design constraints, in order of importance:
 

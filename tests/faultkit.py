@@ -35,7 +35,6 @@ from repro import faults
 from repro.datalog.database import DeductiveDatabase
 from repro.events.events import Transaction
 from repro.interpretations.maintainers import (
-    AdvancingMaintainer,
     CountingMaintainer,
     InvalidatingMaintainer,
 )
@@ -46,18 +45,18 @@ from repro.workloads.generators import random_transaction
 FactSet = frozenset  # of (predicate, args) pairs
 
 
-#: Every maintainer strategy by name: the two an engine selects (counting,
-#: advance) plus the from-scratch invalidate oracle.
+#: Every maintainer strategy by name: the from-scratch invalidate oracle
+#: and counting, the one an engine serves.
 MAINTAINER_CLASSES = {cls.name: cls for cls in (
-    AdvancingMaintainer, InvalidatingMaintainer, CountingMaintainer)}
+    InvalidatingMaintainer, CountingMaintainer)}
 MAINTAINERS = tuple(MAINTAINER_CLASSES)
 
 
 def force_maintainer(monkeypatch, name: str) -> None:
     """Make every engine opened from now on -- recoveries and shard group
-    members included -- run the *name* maintainer instead of the one its
-    program selects (an oracle arm; serving never chooses)."""
-    monkeypatch.setattr(engine_mod, "select_maintainer",
+    members included -- run the *name* maintainer instead of counting (an
+    oracle arm; serving never chooses)."""
+    monkeypatch.setattr(engine_mod, "CountingMaintainer",
                         MAINTAINER_CLASSES[name])
 
 
@@ -66,9 +65,9 @@ def transitive_closure_database(n_nodes: int = 12, n_edges: int = 18,
     """The SYN6 transitive-closure program over a random DAG, plus an
     acyclicity constraint.
 
-    ``Path`` is recursive, so engines serve it with the advancing
-    maintainer; random workloads insert cycle-closing edges now and then,
-    which the constraint rejects.
+    ``Path`` is recursive, so the counting maintainer recomputes its
+    component whenever ``Edge`` changes; random workloads insert
+    cycle-closing edges now and then, which the constraint rejects.
     """
     rng = random.Random(seed)
     db = DeductiveDatabase.from_source("""

@@ -91,6 +91,21 @@ class TestAdvance:
         assert cold.old_extension("Unemp") == \
             UpwardInterpreter(employment_db).old_extension("Unemp")
 
+    def test_advance_refuses_an_old_state_it_does_not_own(self,
+                                                          employment_db):
+        """An interpreter over someone else's state (the processor's, or a
+        maintainer's live extensions) must not patch it."""
+        from repro.interpretations.upward import OldStateView
+
+        derived = {"Unemp": frozenset()}
+        interpreter = UpwardInterpreter(
+            employment_db, old_state=OldStateView(employment_db, derived))
+        result = UpwardInterpreter(employment_db).interpret(
+            Transaction([insert("Works", "Maria")]))
+        with pytest.raises(ValueError, match="does not own"):
+            interpreter.advance(result)
+        assert derived == {"Unemp": frozenset()}
+
     def test_advanced_old_state_feeds_transition_rules(self):
         """Regression: the old-state *view* must track advanced extensions.
 
@@ -125,6 +140,18 @@ class TestAdvance:
 
 
 class TestEvolve:
+    def test_evolve_rebuilds_the_counting_state(self, pqr_db):
+        from repro.interpretations.maintainers import CountingMaintainer
+
+        processor = UpdateProcessor(pqr_db)
+        maintainer = CountingMaintainer(processor)
+        before = maintainer.extension("P")
+        processor.evolve(add_rules=[parse_rule("P(x) <- R(x).")])
+        fresh = UpwardInterpreter(pqr_db)
+        assert maintainer.extension("P") == fresh.old_extension("P") \
+            != before
+        assert processor.extension("P") == fresh.old_extension("P")
+
     def test_evolve_commits_rules(self, pqr_db):
         processor = UpdateProcessor(pqr_db)
         result = processor.evolve(add_rules=[parse_rule("P(x) <- R(x).")])

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.datalog import DeductiveDatabase
-from repro.datalog.errors import StratificationError
 from repro.datalog.terms import Constant
 from repro.events.events import Transaction, delete, insert
 from repro.interpretations import naive_changes
@@ -38,14 +37,19 @@ class TestInitialization:
         # Two bindings of y support Reaches(A).
         assert engine.count("Reaches", (Constant("A"),)) == 2
 
-    def test_recursion_rejected(self):
+    def test_recursive_component_materialised_with_unit_counts(self):
         db = DeductiveDatabase.from_source("""
-            Edge(A, B).
+            Edge(A, B). Edge(B, C).
             Path(x, y) <- Edge(x, y).
             Path(x, y) <- Edge(x, z) & Path(z, y).
         """)
-        with pytest.raises(StratificationError):
-            CountingEngine(db)
+        engine = CountingEngine(db)
+        assert engine.extension("Path") == {
+            (Constant("A"), Constant("B")), (Constant("B"), Constant("C")),
+            (Constant("A"), Constant("C"))}
+        # Recomputed, not counted: no delta rules, one count per row.
+        assert engine.n_delta_rules == 0
+        assert engine.count("Path", (Constant("A"), Constant("C"))) == 1
 
 
 class TestZeroCrossings:
@@ -260,17 +264,61 @@ class TestNegationBoundary:
         with pytest.raises(SafetyError):
             engine.apply(Transaction([delete("Q", "A")]))
 
-    def test_recursion_error_is_typed(self):
-        from repro.interpretations.counting import CountingUnsupportedError
-
+    def test_recursive_sequence_agrees_with_oracle(self):
         db = DeductiveDatabase.from_source("""
-            Edge(A, B).
+            Edge(A, B). Edge(B, C). Node(A). Node(B). Node(C). Node(D).
             Path(x, y) <- Edge(x, y).
             Path(x, y) <- Edge(x, z) & Path(z, y).
+            Cut(x) <- Node(x) & not Path(A, x).
+            Loop(x) <- Path(x, x).
         """)
-        assert issubclass(CountingUnsupportedError, StratificationError)
-        with pytest.raises(CountingUnsupportedError):
-            CountingEngine(db)
+        engine = CountingEngine(db)
+        steps = [
+            Transaction([insert("Edge", "C", "D")]),
+            Transaction([delete("Edge", "B", "C")]),
+            Transaction([insert("Edge", "D", "A"), insert("Edge", "B", "C")]),
+            Transaction([delete("Edge", "A", "B"), insert("Node", "E")]),
+        ]
+        for step, transaction in enumerate(steps):
+            expected = naive_changes(db, transaction)
+            result = engine.apply(transaction)
+            assert result.insertions == expected.insertions, f"step {step}"
+            assert result.deletions == expected.deletions, f"step {step}"
+        assert engine.rederive_count == 0
+
+    def test_mutually_recursive_component_agrees_with_oracle(self):
+        db = DeductiveDatabase.from_source("""
+            Edge(A, B). Edge(B, C). Edge(C, D). Start(A).
+            Even(x) <- Start(x).
+            Even(y) <- Odd(x) & Edge(x, y).
+            Odd(y) <- Even(x) & Edge(x, y).
+            Both(x) <- Even(x) & Odd(x).
+        """)
+        engine = CountingEngine(db)
+        steps = [
+            Transaction([insert("Edge", "D", "A")]),
+            Transaction([delete("Edge", "B", "C"), insert("Start", "C")]),
+            Transaction([delete("Start", "A")]),
+        ]
+        for step, transaction in enumerate(steps):
+            expected = naive_changes(db, transaction)
+            result = engine.apply(transaction)
+            assert result.insertions == expected.insertions, f"step {step}"
+            assert result.deletions == expected.deletions, f"step {step}"
+
+    def test_recursive_component_skipped_without_input_events(self):
+        db = DeductiveDatabase.from_source("""
+            Edge(A, B). Node(A).
+            Path(x, y) <- Edge(x, y).
+            Path(x, y) <- Edge(x, z) & Path(z, y).
+            Cut(x) <- Node(x) & not Path(A, x).
+        """)
+        engine = CountingEngine(db)
+        result, staged = engine.delta(Transaction([insert("Node", "C")]))
+        assert "Path" not in staged
+        assert result.insertions == {"Cut": frozenset({(Constant("C"),)})}
+        _, staged = engine.delta(Transaction([insert("Edge", "A", "C")]))
+        assert "Path" in staged
 
     def test_stratified_negation_sequence_agrees_with_oracle(self):
         db = DeductiveDatabase.from_source("""

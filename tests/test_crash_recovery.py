@@ -268,18 +268,20 @@ def test_commit_crash_counting_mode(tmp_path, point):
 
 
 @pytest.mark.parametrize("point", COMMIT_POINTS)
-def test_commit_crash_advance_recursive(tmp_path, point):
-    """The commit-path crash matrix over the SYN6 transitive closure, which
-    selects the advancing maintainer (select with ``-k advance``)."""
+def test_commit_crash_counting_recursive(tmp_path, point):
+    """The commit-path crash matrix over the SYN6 transitive closure, whose
+    recursive component the counting maintainer recomputes (select with
+    ``-k recursive``)."""
     engine = DatabaseEngine.open(
         tmp_path / "db", initial=faultkit.transitive_closure_database(seed=2))
-    assert engine.stats()["engine"]["maintainer"] == "advance"
+    assert engine.stats()["engine"]["maintainer"] == "counting"
     faults.arm(point, "crash", skip=1, times=1)
     report, recovered = faultkit.crash_and_recover(
         engine, tmp_path / "db", steps=25, seed=13, n_events=2)
     try:
-        assert report.crashed, f"{point} never fired under advance"
-        assert recovered.stats()["engine"]["maintainer"] == "advance"
+        assert report.crashed, f"{point} never fired on a recursive program"
+        assert recovered.stats()["engine"]["maintainer"] == "counting"
+        assert recovered.maintainer.active
     finally:
         recovered.close()
 

@@ -175,6 +175,17 @@ class TestCopyAndDomain:
         db = DeductiveDatabase.from_source("Q(A). P(x) <- Q(x) & not R(B).")
         assert db.active_domain() == {Constant("A"), Constant("B")}
 
+    def test_generation_moves_with_effective_changes_only(self):
+        db = DeductiveDatabase.from_source("Q(A).")
+        start = db.generation
+        db.add_fact("Q", "A")  # already there
+        db.remove_fact("Q", "B")  # never there
+        assert db.generation == start
+        db.add_fact("Q", "B")
+        db.remove_fact("Q", "B")
+        db.add_rule(parse_rule("P(x) <- Q(x)."))
+        assert db.generation == start + 3
+
     def test_str_round_trips(self):
         db = DeductiveDatabase.from_source("Q(A). P(x) <- Q(x). Ic1 <- P(x).")
         again = DeductiveDatabase.from_source(str(db))

@@ -176,6 +176,15 @@ class TestNonGroundRequests:
         }
 
 
+    def test_domain_follows_fact_changes(self, pqr_db):
+        interpreter = DownwardInterpreter(pqr_db)
+        assert Constant("Fresh") not in interpreter.domain()
+        pqr_db.add_fact("Q", "Fresh")
+        assert Constant("Fresh") in interpreter.domain()
+        pqr_db.remove_fact("Q", "Fresh")
+        assert Constant("Fresh") not in interpreter.domain()
+
+
 class TestSoundness:
     """Every translation, upward-interpreted, satisfies the request."""
 

@@ -1,11 +1,13 @@
-"""Cache lifecycle tests: delta-driven maintenance of warm derived state.
+"""Cache lifecycle tests: one copy of derived state.
 
-The engine's maintainers (counting, or advance for recursive programs) reuse the commit-time upward
-interpretation (the paper's view-maintenance reading of the event rules,
-Section 5.1.3) to patch the memoised derived extensions in place instead of
-invalidating them.  These tests pin down the lifecycle: when the cache
-advances, when it falls back to invalidation, and that readers can never
-observe a partially advanced cache.
+The engine's counting maintainer advances its derived extensions on every
+commit (the paper's view-maintenance reading of the event rules, Section
+5.1.3), and the update processor's upward and downward interpreters read
+those very extensions as their old state instead of materialising and
+patching a copy of their own.  These tests pin down the lifecycle: what-ifs
+interleaved with commits never rematerialise, a checkpoint keeps the state,
+the invalidate oracle rebuilds every round, and readers can never observe a
+partially advanced state.
 """
 
 import logging
@@ -15,6 +17,7 @@ import pytest
 
 from repro.datalog import DeductiveDatabase
 from repro.events.events import Transaction, insert, parse_transaction
+from repro.events.requests import parse_request
 from repro.interpretations import UpwardInterpreter
 from repro.server.engine import DatabaseEngine
 from repro.workloads import employment_database
@@ -34,28 +37,36 @@ def fresh_extension(db, predicate: str):
     return UpwardInterpreter(db).old_extension(predicate)
 
 
+def assert_one_copy(engine: DatabaseEngine) -> None:
+    """The processor reads the counting engine's live map, and nothing
+    ever materialised or invalidated a copy of its own."""
+    counters = engine.stats()["counters"]
+    assert counters.get("cache.rematerialize", 0) == 0
+    assert counters.get("cache.invalidate", 0) == 0
+    assert engine.stats()["engine"]["cache_epoch"] == 0
+    view = engine.processor._old_state()
+    assert view._derived is engine.maintainer.counting_engine().extensions
+
+
 class TestMaintainers:
-    def test_advance_mode_keeps_cache_warm(self, tmp_path, monkeypatch):
-        faultkit.force_maintainer(monkeypatch, "advance")
+    def test_whatifs_read_the_maintained_state(self, tmp_path):
         engine = DatabaseEngine.open(
             tmp_path / "d", initial=employment_database(30, seed=3))
         try:
-            engine.check(parse_transaction("insert Works(Probe)"))  # warm up
             for i in range(5):
                 engine.commit(parse_transaction(
                     f"insert La(N{i}); insert U_benefit(N{i})"))
-                engine.check(parse_transaction(f"insert Works(N{i})"))
-            stats = engine.stats()
-            assert stats["engine"]["maintainer"] == "advance"
-            # Commits patched the warm cache: no invalidations, epoch
-            # untouched, exactly the initial materialisation.
-            assert stats["engine"]["cache_epoch"] == 0
-            counters = stats["counters"]
-            assert counters["cache.advance"] == 5
-            assert counters["cache.rematerialize"] == 1
-            assert "cache.invalidate" not in counters
-            # ... and the warm state it kept serving is the true one.
-            assert engine._processor._upward.old_extension("Unemp") == \
+                assert engine.check(
+                    parse_transaction(f"delete U_benefit(N{i})")).ok is False
+                induced = engine.upward(
+                    parse_transaction(f"insert Works(N{i})"))
+                assert induced.deletions_of("Unemp")
+                result = engine.downward([parse_request(f"del Unemp(N{i})")])
+                assert result.translations
+            assert engine.stats()["engine"]["maintainer"] == "counting"
+            assert_one_copy(engine)
+            # ... and the state it kept serving is the true one.
+            assert engine.processor.extension("Unemp") == \
                 fresh_extension(engine.db, "Unemp")
         finally:
             engine.close(checkpoint=False)
@@ -74,54 +85,54 @@ class TestMaintainers:
             counters = engine.stats()["counters"]
             assert counters["cache.invalidate"] == 5
             assert counters["cache.rematerialize"] == 6
-            assert "cache.advance" not in counters
             assert engine.stats()["engine"]["cache_epoch"] == 5
         finally:
             engine.close(checkpoint=False)
 
-    def test_advance_without_constraints(self, tmp_path):
-        """With no constraints the commit check never runs, but a warm
-        cache still advances via one incremental pass."""
+    def test_commits_without_constraints(self, tmp_path):
+        """With no constraints the commit check never runs, but the
+        maintainer still interprets the commit and the what-ifs see it."""
         db = DeductiveDatabase.from_source("""
             Q(A). Q(B). R(B).
             P(x) <- Q(x) & not R(x).
         """)
         engine = DatabaseEngine.open(tmp_path / "d", initial=db)
         try:
-            # query() uses a fresh evaluator; warm the interpreter cache
-            # the way a reader of induced events would.
             engine.upward(parse_transaction("insert Q(Z)"))
             engine.commit(parse_transaction("insert Q(C)"))
-            counters = engine.stats()["counters"]
-            assert counters.get("cache.advance") == 1
-            assert engine._processor._upward.old_extension("P") == \
+            assert engine.upward(parse_transaction("insert R(C)")) \
+                .deletions_of("P")
+            assert_one_copy(engine)
+            assert engine.processor.extension("P") == \
                 fresh_extension(engine.db, "P")
         finally:
             engine.close(checkpoint=False)
 
-    def test_checkpoint_invalidates(self, engine):
+    def test_checkpoint_keeps_state(self, engine):
         engine.check(parse_transaction("insert Works(Maria)"))
         engine.commit(parse_transaction("insert La(Pere)"))
         engine.checkpoint()
-        counters = engine.stats()["counters"]
-        assert counters.get("cache.invalidate", 0) >= 1
-        assert engine.stats()["engine"]["cache_epoch"] >= 1
+        assert engine.maintainer.active
+        assert engine.metrics.counter("ivm.bootstrap") == 1
+        engine.commit(parse_transaction("insert Works(Pere)"))
+        assert engine.check(parse_transaction("delete Works(Pere)")).ok
+        assert_one_copy(engine)
+        assert engine.processor.extension("Unemp") == \
+            fresh_extension(engine.db, "Unemp")
 
-    def test_slow_path_advances(self, engine):
+    def test_slow_path_keeps_shared_state(self, engine):
         """Non-reject policies take the serial path, which advances the
-        warm caches with each member's induced events."""
+        maintainer with each member's induced events."""
         engine.check(parse_transaction("insert Works(Maria)"))
         engine.commit(parse_transaction("insert La(Pere)"),
                       on_violation="maintain")
-        counters = engine.stats()["counters"]
-        assert counters.get("cache.advance", 0) >= 1
-        assert "cache.invalidate" not in counters
-        assert engine._processor._upward.old_extension("Unemp") == \
+        assert_one_copy(engine)
+        assert engine.processor.extension("Unemp") == \
             fresh_extension(engine.db, "Unemp")
 
 
-class TestAdvanceMatchesRematerialize:
-    """Advanced and from-scratch extensions agree on example programs."""
+class TestSharedStateMatchesRematerialize:
+    """Maintained and from-scratch extensions agree on example programs."""
 
     CASES = {
         "stratified-negation": (
@@ -146,6 +157,18 @@ class TestAdvanceMatchesRematerialize:
              "insert R(A)",
              "insert Q(D)"),
         ),
+        "recursive-closure": (
+            """
+            Edge(A, B). Edge(B, C). Node(A). Node(B). Node(C). Node(D).
+            Path(x, y) <- Edge(x, y).
+            Path(x, y) <- Edge(x, z) & Path(z, y).
+            Alone(x) <- Node(x) & not Path(A, x).
+            """,
+            "insert Edge(C, D)",
+            ("insert Edge(C, D)",
+             "delete Edge(A, B)",
+             "insert Edge(D, A); insert Edge(A, B)"),
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -155,14 +178,12 @@ class TestAdvanceMatchesRematerialize:
         derived = sorted(db.schema.derived)
         engine = DatabaseEngine.open(tmp_path / "d", initial=db)
         try:
-            engine.upward(parse_transaction(warmup))  # warm the cache
+            engine.upward(parse_transaction(warmup))
             for commit in commits:
                 engine.commit(parse_transaction(commit))
-            counters = engine.stats()["counters"]
-            assert counters.get("cache.advance", 0) >= 1
-            warm = engine._processor._upward
+            assert_one_copy(engine)
             for predicate in derived:
-                assert warm.old_extension(predicate) == \
+                assert engine.processor.extension(predicate) == \
                     fresh_extension(engine.db, predicate), predicate
         finally:
             engine.close(checkpoint=False)
@@ -237,10 +258,9 @@ class TestConcurrentReaders:
             for thread in readers:
                 thread.join()
             assert not failures, failures
-            # After the dust settles the warm cache equals a fresh one.
-            warm = engine._processor._upward
-            assert warm is not None and warm.has_cached_state
-            assert warm.old_extension("Unemp") == \
+            # After the dust settles the shared state equals a fresh one.
+            assert_one_copy(engine)
+            assert engine.processor.extension("Unemp") == \
                 fresh_extension(engine.db, "Unemp")
         finally:
             engine.close(checkpoint=False)

@@ -1,11 +1,11 @@
-"""The StateMaintainer strategies and how the engine picks one.
+"""The StateMaintainer strategies and the one the engine serves.
 
-Covers :func:`select_maintainer` (counting for non-recursive programs,
-advance for recursive ones, nothing configurable), protocol conformance
-of all three maintainers -- the two served ones and the invalidate
-oracle -- against the naive oracle, and the serving engine's counting
-behaviour (verdicts, ``ivm.*`` counters, resets, stats/health surfacing,
-and the serial commit path keeping its counts and feed deltas).
+Covers the engine always serving counting (recursive programs included,
+nothing configurable), protocol conformance of both maintainers -- the
+served one and the invalidate oracle -- against the naive oracle, and the
+serving engine's counting behaviour (verdicts, ``ivm.*`` counters, resets,
+stats/health surfacing, checkpoints and the serial commit path keeping
+their counts and feed deltas).
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from repro.datalog.terms import Constant
 from repro.core.processor import UpdateProcessor
 from repro.events.events import Transaction, delete, insert, parse_transaction
 from repro.interpretations import naive_changes
-from repro.interpretations.counting import CountingUnsupportedError
 from repro.interpretations.maintainers import (
-    AdvancingMaintainer,
     CountingMaintainer,
     InvalidatingMaintainer,
     StateMaintainer,
-    select_maintainer,
 )
 from repro.server.engine import DatabaseEngine
 from repro.workloads import employment_database, random_transaction
@@ -46,23 +43,24 @@ def small_db() -> DeductiveDatabase:
 
 
 class TestSelection:
-    def test_non_recursive_program_gets_counting(self):
-        processor = UpdateProcessor(employment_database(5, seed=1))
-        assert isinstance(select_maintainer(processor), CountingMaintainer)
-
-    def test_recursive_program_gets_advance(self):
-        processor = UpdateProcessor(faultkit.transitive_closure_database())
-        assert isinstance(select_maintainer(processor), AdvancingMaintainer)
-
-    def test_program_without_views_gets_counting(self):
-        processor = UpdateProcessor(DeductiveDatabase.from_source("Q(A)."))
-        assert isinstance(select_maintainer(processor), CountingMaintainer)
+    @pytest.mark.parametrize("initial", [
+        employment_database(5, seed=1),
+        faultkit.transitive_closure_database(),
+        DeductiveDatabase.from_source("Q(A)."),
+    ], ids=["non-recursive", "recursive", "no-views"])
+    def test_every_program_serves_counting(self, tmp_path, initial):
+        engine = DatabaseEngine.open(tmp_path / "d", initial=initial)
+        try:
+            assert engine.stats()["engine"]["maintainer"] == "counting"
+            assert isinstance(engine.maintainer, CountingMaintainer)
+            assert engine.metrics.counter("ivm.bootstrap") == 1
+        finally:
+            engine.close()
 
     def test_names_are_the_reported_spellings(self):
-        assert [cls.name for cls in (AdvancingMaintainer,
-                                     InvalidatingMaintainer,
+        assert [cls.name for cls in (InvalidatingMaintainer,
                                      CountingMaintainer)] \
-            == ["advance", "invalidate", "counting"]
+            == ["invalidate", "counting"]
 
     def test_engine_takes_no_maintainer_or_engine_knob(self, tmp_path):
         from repro.shard import EngineGroup
@@ -119,6 +117,19 @@ class TestProtocolConformance:
             result = maintainer.apply(transaction)
             assert result.insertions == expected.insertions, f"seed {seed}"
             assert result.deletions == expected.deletions, f"seed {seed}"
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_recursive_apply_sequence_matches_oracle(self, mode):
+        db = faultkit.transitive_closure_database(n_nodes=8, n_edges=10)
+        maintainer = make_maintainer(mode, UpdateProcessor(db))
+        for seed in range(8):
+            transaction = random_transaction(db, n_events=2, seed=seed)
+            expected = naive_changes(db, transaction)
+            result = maintainer.apply(transaction)
+            assert result.insertions == expected.insertions, f"seed {seed}"
+            assert result.deletions == expected.deletions, f"seed {seed}"
+        assert maintainer.extension("Path") == \
+            UpdateProcessor(db).extension("Path")
 
     def test_bootstrap_rejects_foreign_database(self):
         maintainer = make_maintainer("counting",
@@ -211,40 +222,46 @@ class TestEngineCountingMode:
         finally:
             engine.close()
 
-    def test_checkpoint_resets_then_rebootstraps(self, tmp_path):
+    def test_checkpoint_keeps_counts(self, tmp_path):
         engine = fresh_engine(tmp_path)
         try:
-            assert engine.maintainer.active
+            oracle = faultkit.SubscriptionOracle(engine)
             engine.checkpoint()
-            assert not engine.maintainer.active  # conservative reset
-            working = {r[0].value for r in engine.db.facts_of("Works")}
-            idle = sorted(p for p in (f"P{i}" for i in range(12))
-                          if p not in working)
-            outcome = engine.commit(Transaction(
-                parse_transaction(f"insert Works({idle[0]})")))
-            assert outcome.applied
-            assert engine.maintainer.active  # lazily re-bootstrapped
-            assert engine.metrics.counter("ivm.bootstrap") == 2
+            assert engine.maintainer.active  # no reset
+            for person in idle_people(engine)[:2]:
+                outcome = engine.commit(Transaction(
+                    parse_transaction(f"insert Works({person})")))
+                assert outcome.applied
+            engine.checkpoint()
+            assert engine.metrics.counter("ivm.bootstrap") == 1
+            oracle.drain()
+            assert oracle.resyncs == 0
+            oracle.check()
             faultkit_oracle(engine)
         finally:
             engine.close()
 
-    def test_recursive_program_serves_advance(self, tmp_path):
+    def test_recursive_commits_keep_counts(self, tmp_path):
         engine = DatabaseEngine.open(
             tmp_path / "rec", initial=faultkit.transitive_closure_database())
         try:
-            assert engine.stats()["engine"]["maintainer"] == "advance"
-            assert engine.metrics.counter("ivm.bootstrap") == 0
+            oracle = faultkit.SubscriptionOracle(engine)
+            edges = sorted(engine.db.facts_of("Edge"), key=str)
+            source, target = (constant.value for constant in edges[0])
+            # Closing a cycle is rejected by the acyclicity constraint.
+            assert not engine.commit(Transaction(
+                [insert("Edge", target, source)])).applied
+            assert engine.commit(Transaction(
+                [insert("Edge", "N0", "Fresh")])).applied
+            assert engine.commit(Transaction(
+                [delete("Edge", source, target)])).applied
+            assert engine.metrics.counter("ivm.bootstrap") == 1
+            oracle.drain()
+            assert oracle.resyncs == 0
+            oracle.check()
+            faultkit_oracle(engine)
         finally:
             engine.close()
-
-    def test_forced_counting_still_refuses_recursion(self, tmp_path,
-                                                     monkeypatch):
-        faultkit.force_maintainer(monkeypatch, "counting")
-        with pytest.raises(CountingUnsupportedError):
-            DatabaseEngine.open(
-                tmp_path / "rec",
-                initial=faultkit.transitive_closure_database())
 
 
 def idle_people(engine: DatabaseEngine) -> list[str]:

@@ -43,6 +43,34 @@ class TestRawInterpretations:
     def test_program_shared(self, processor):
         assert processor.program is processor.program
 
+    def test_one_materialisation_serves_both_interpreters(self, processor):
+        events = []
+        processor.on_cache_event = events.append
+        processor.upward(parse_transaction("{insert Works(Dolors)}"))
+        processor.downward(want_delete("Unemp", "Dolors"))
+        processor.check(parse_transaction("{insert La(Maria)}"))
+        assert events == ["rematerialize"]
+        processor.execute(Transaction([insert("Works", "X")]))
+        processor.downward(want_delete("Unemp", "Dolors"))
+        assert events == ["rematerialize", "invalidate", "rematerialize"]
+
+    def test_attached_derived_state_is_read_not_materialised(
+            self, employment_db):
+        from repro.interpretations.counting import CountingEngine
+
+        engine = CountingEngine(employment_db)
+        processor = UpdateProcessor(employment_db)
+        processor.use_derived_state(lambda: engine.extensions)
+        events = []
+        processor.on_cache_event = events.append
+        assert processor.extension("Unemp") == engine.extension("Unemp")
+        # The owner moves the state on; the processor sees it in place.
+        engine.apply(Transaction([insert("La", "Maria")]))
+        assert (Constant("Maria"),) in processor.extension("Unemp")
+        result = processor.downward(want_delete("Unemp", "Maria"))
+        assert result.is_satisfiable
+        assert events == []
+
 
 class TestUpwardProblems:
     def test_check(self, processor):

@@ -53,11 +53,24 @@ V3_RULES = [
     "V3(x) <- B2(y, x) & not V2(y).",
     "V3(x, y) <- B2(x, y) & V1(x) & x != y.",
 ]
+#: Recursive shapes, drawn by ``databases(recursive=True)``: the transitive
+#: closure T2 of B2, a downstream rule negating it, and maybe more
+#: consumers of it.
+T2_RULES = [
+    "T2(x, y) <- B2(x, y).",
+    "T2(x, y) <- B2(x, z) & T2(z, y).",
+    "V5(x) <- B1(x) & not T2(x, x).",
+]
+V5_RULES = [
+    "V5(x) <- V1(x) & not T2(x, x).",
+    "V5(x) <- T2(x, y) & not B1(y).",
+]
 
 
 @st.composite
-def databases(draw):
-    """A small random database over B1/1, B2/2 with one or two views."""
+def databases(draw, recursive: bool = False):
+    """A small random database over B1/1, B2/2 with one or two views, and
+    with *recursive* also the transitive closure of B2 and its consumers."""
     db = DeductiveDatabase()
     db.declare_base("B1", 1)
     db.declare_base("B2", 2)
@@ -77,6 +90,10 @@ def databases(draw):
         for source in v3_pool:
             if "V2" in source and not has_v2:
                 continue
+            db.add_rule(parse_rule(source))
+    if recursive:
+        for source in T2_RULES + sorted(draw(st.sets(
+                st.sampled_from(V5_RULES), max_size=2))):
             db.add_rule(parse_rule(source))
     return db
 
@@ -114,6 +131,15 @@ class TestUpwardAgreesWithOracle:
         assert result.insertions == oracle.insertions
         assert result.deletions == oracle.deletions
 
+    @given(db=databases(recursive=True), transaction=transactions())
+    @settings(max_examples=60, deadline=None)
+    def test_hybrid_upward_equals_naive_diff_on_recursive_programs(
+            self, db, transaction):
+        result = UpwardInterpreter(db).interpret(transaction)
+        oracle = naive_changes(db, transaction)
+        assert result.insertions == oracle.insertions
+        assert result.deletions == oracle.deletions
+
     @given(db=databases(), transaction=transactions())
     @settings(max_examples=60, deadline=None)
     def test_events_are_disjoint_from_old_state(self, db, transaction):
@@ -133,7 +159,7 @@ class TestUpwardAgreesWithOracle:
 
 
 class TestCountingAgreesWithOracle:
-    @given(db=databases(), seeds=st.lists(st.integers(0, 10_000),
+    @given(db=databases(recursive=True), seeds=st.lists(st.integers(0, 10_000),
                                           min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_counting_sequence(self, db, seeds):
@@ -365,15 +391,16 @@ class TestUpwardDownwardRoundTrip:
 
 
 class TestEngineModeDifferential:
-    """Advance ≡ invalidate ≡ counting ≡ interpreted-eval ≡ naive oracle.
+    """Counting ≡ invalidate ≡ interpreted-eval counting ≡ naive oracle.
 
-    The delta-maintained serving cache must be observationally identical
+    The delta-maintained serving state must be observationally identical
     to the invalidate-everything baseline and to a from-scratch oracle,
     after every commit of a random workload -- the differential form of
-    the cache-advance correctness argument.  The counting engine's
+    the maintenance correctness argument.  The counting engine's
     *maintained extensions* (not just its query answers) are compared
     too: its per-tuple derivation counts must track the set semantics
-    commit after commit, including through the negation in V2/V3.
+    commit after commit, including through the negation in V2/V3 and the
+    recursive closure T2 with its negating consumer V5.
     """
 
     @staticmethod
@@ -401,8 +428,8 @@ class TestEngineModeDifferential:
             goals.append(f"{predicate}({variables})" if arity else predicate)
         return goals
 
-    @given(db=databases(), seeds=st.lists(st.integers(0, 10_000),
-                                          min_size=1, max_size=4))
+    @given(db=databases(recursive=True),
+           seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=4))
     @settings(max_examples=20, deadline=None)
     def test_modes_and_oracle_agree_after_every_commit(self, db, seeds):
         import tempfile
@@ -413,64 +440,59 @@ class TestEngineModeDifferential:
             return
         goals = self._derived_goals(db)
         with tempfile.TemporaryDirectory() as scratch:
-            advance = self._open(f"{scratch}/a", db, "advance")
             invalidate = self._open(f"{scratch}/i", db, "invalidate")
             counting = self._open(f"{scratch}/c", db, "counting")
             # Same workload through the tuple-at-a-time evaluator: the
-            # compiled engine (the default of the three above) must be
+            # compiled engine (the default of the two above) must be
             # observationally identical to it after every commit.
-            interpreted = self._open(f"{scratch}/e", db, "advance",
+            interpreted = self._open(f"{scratch}/e", db, "counting",
                                      eval_engine="interpreted")
             oracle = db.copy()
             try:
                 for seed in seeds:
-                    if not advance.db.base_predicates_with_facts():
+                    if not counting.db.base_predicates_with_facts():
                         break
                     transaction = random_transaction(
-                        advance.db, n_events=2, seed=seed)
-                    # The upward probe also warms the interpreters, so the
-                    # advance engine really maintains (not just drops) its
-                    # derived-state caches across the commit below.
-                    up_advance = advance.upward(transaction)
+                        counting.db, n_events=2, seed=seed)
+                    # The upward probes read the maintained state the
+                    # counting engines carry across the commit below.
+                    up_counting = counting.upward(transaction)
                     up_invalidate = invalidate.upward(transaction)
                     up_interpreted = interpreted.upward(transaction)
                     expected = naive_changes(oracle, transaction)
-                    assert up_advance.insertions == expected.insertions
-                    assert up_advance.deletions == expected.deletions
+                    assert up_counting.insertions == expected.insertions
+                    assert up_counting.deletions == expected.deletions
                     assert up_invalidate.insertions == expected.insertions
                     assert up_invalidate.deletions == expected.deletions
                     assert up_interpreted.insertions == expected.insertions
                     assert up_interpreted.deletions == expected.deletions
 
-                    assert advance.commit(transaction).applied
                     assert invalidate.commit(transaction).applied
                     assert counting.commit(transaction).applied
                     assert interpreted.commit(transaction).applied
                     oracle = transaction.apply_to(oracle)
 
-                    assert set(advance.db.iter_facts()) \
-                        == set(invalidate.db.iter_facts()) \
+                    assert set(invalidate.db.iter_facts()) \
                         == set(counting.db.iter_facts()) \
                         == set(interpreted.db.iter_facts()) \
                         == set(oracle.iter_facts())
                     for goal, predicate in zip(goals,
                                                sorted(db.schema.derived)):
                         answers = oracle.query(goal)
-                        assert advance.query(goal) == answers
                         assert invalidate.query(goal) == answers
                         assert counting.query(goal) == answers
                         assert interpreted.query(goal) == answers
                         # Counting-vs-naive differential: the maintained
-                        # extension itself, not a fresh evaluation.
-                        extension = {
-                            tuple(constant.value for constant in row)
-                            for row in counting.maintainer.extension(
-                                predicate)}
-                        assert extension == set(map(tuple, answers)), (
-                            f"counting extension of {predicate} diverged "
-                            f"after commit")
+                        # extensions themselves, not a fresh evaluation.
+                        for engine in (counting, interpreted):
+                            extension = {
+                                tuple(constant.value for constant in row)
+                                for row in engine.maintainer.extension(
+                                    predicate)}
+                            assert extension == set(map(tuple, answers)), (
+                                f"counting extension of {predicate} "
+                                f"diverged after commit")
             finally:
-                advance.close()
                 invalidate.close()
                 counting.close()
                 interpreted.close()

@@ -287,9 +287,9 @@ class TestServeCommandEndToEnd:
             Edge(A, B). Edge(B, C).
             Path(x, y) <- Edge(x, y).
             Path(x, y) <- Edge(x, z) & Path(z, y).
-         """, "advance"),
-    ], ids=["employment-counting", "transitive-closure-advance"])
-    def test_serve_selects_maintainer_from_program(self, tmp_path, source,
+         """, "counting"),
+    ], ids=["employment-counting", "transitive-closure-counting"])
+    def test_serve_runs_counting_for_every_program(self, tmp_path, source,
                                                    maintainer):
         db_file = tmp_path / "db.dl"
         db_file.write_text(source)

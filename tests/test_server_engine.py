@@ -34,9 +34,9 @@ def big_engine(tmp_path):
 
 def serving_maintainer(db):
     from repro.core import UpdateProcessor
-    from repro.interpretations.maintainers import select_maintainer
+    from repro.interpretations.maintainers import CountingMaintainer
 
-    return select_maintainer(UpdateProcessor(db))
+    return CountingMaintainer(UpdateProcessor(db))
 
 
 class TestCheckedCommit:

@@ -3,10 +3,10 @@
 The centrepiece is :class:`tests.faultkit.SubscriptionOracle`: a shadow
 subscriber that applies delta frames (and re-pulls on ``resync``) and
 asserts, after every commit, that the feed reconstructed exactly the
-materialised state -- across all three maintainers (forced through
-``faultkit.force_maintainer``) and both evaluation engines, for the
-recursive SYN6 transitive closure as served (advance), over the engine
-API, the wire protocol and the shard group.
+materialised state -- across both maintainers (the invalidate oracle
+forced through ``faultkit.force_maintainer``) and both evaluation engines,
+for the recursive SYN6 transitive closure as served (counting), over the
+engine API, the wire protocol and the shard group.
 
 The fault slice covers the feed-specific failpoints: a crash between the
 fsync and the publish must never produce phantom or duplicate frames, a
@@ -82,7 +82,7 @@ class TestDifferentialOracle:
             stats = engine.stats()["engine"]
             assert stats["maintainer"] == maintainer
             assert stats["eval_engine"] == eval_engine
-            if maintainer in ("advance", "counting"):
+            if maintainer == "counting":
                 assert stats["feed_sourcing"] == "delta"
                 assert oracle.deltas > 0
             else:
@@ -91,16 +91,16 @@ class TestDifferentialOracle:
             engine.close()
 
     @pytest.mark.parametrize("eval_engine", EVAL_ENGINES)
-    def test_random_workload_advance_recursive(self, tmp_path, monkeypatch,
-                                               eval_engine):
-        """The oracle over the SYN6 transitive closure, as served: the
-        recursive program selects the advancing maintainer."""
+    def test_random_workload_counting_recursive(self, tmp_path, monkeypatch,
+                                                eval_engine):
+        """The oracle over the SYN6 transitive closure, as served: counting
+        recomputes the recursive component and counts what lies above."""
         monkeypatch.setenv(ENV_ENGINE, eval_engine)
         engine = DatabaseEngine.open(
             tmp_path / "db",
             initial=faultkit.transitive_closure_database(seed=5))
         try:
-            assert engine.stats()["engine"]["maintainer"] == "advance"
+            assert engine.stats()["engine"]["maintainer"] == "counting"
             oracle = faultkit.SubscriptionOracle(engine)
             applied = rejected = 0
             for step in range(25):
@@ -120,7 +120,7 @@ class TestDifferentialOracle:
     def test_resync_paths(self, tmp_path, monkeypatch, maintainer):
         """A serial-path commit publishes its own delta frame -- a resync
         only when the maintainer has no delta and resets (the invalidate
-        oracle) -- and a checkpoint always resyncs."""
+        oracle) -- and a checkpoint publishes nothing."""
         faultkit.force_maintainer(monkeypatch, maintainer)
         engine = fresh_engine(tmp_path)
         try:
@@ -134,10 +134,13 @@ class TestDifferentialOracle:
             else:
                 assert (oracle.deltas, oracle.resyncs) == (1, 0)
             oracle.check()
-            engine.checkpoint()  # maintainer reset: coverage lost again
-            before = oracle.resyncs
+            engine.checkpoint()  # only the files change: no frame at all
+            assert not oracle.frames
+            assert engine.commit(grow("Ann")).applied
             oracle.drain()
-            assert oracle.resyncs > before
+            if maintainer == "counting":
+                assert (oracle.deltas, oracle.resyncs) == (2, 0)
+                assert engine.metrics.counter("ivm.bootstrap") == 1
             oracle.check()
         finally:
             engine.close()
