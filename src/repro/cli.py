@@ -220,13 +220,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                  on_violation=args.on_violation,
                                  dedup_capacity=args.dedup_capacity)
     if args.routing:
-        # A shard of a partitioned group: the routing table is the durable
-        # schema record (this shard's snapshot only renders predicates it
-        # holds facts or rules for), so redeclare every routed predicate.
+        # A shard of a partitioned group: redeclare every routed predicate.
         from repro.shard import RoutingTable
 
-        for predicate, arity in RoutingTable.load(args.routing).arities.items():
-            engine.db.declare_base(predicate, arity)
+        RoutingTable.load(args.routing).declare_schema(engine.db)
     run(engine, host=args.host, port=args.port, port_file=args.port_file,
         max_connections=args.max_connections,
         max_inflight=args.max_inflight,
@@ -280,24 +277,14 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    """Serve a scatter-gather router over running shard servers."""
+    """Serve a shard group over running shard servers."""
     from repro.server.server import run
-    from repro.shard import (
-        DECISIONS_NAME,
-        ROUTING_NAME,
-        DecisionLog,
-        RoutingTable,
-        ShardRouter,
-    )
+    from repro.shard import EngineGroup
 
-    directory = Path(args.directory)
-    routing = RoutingTable.load(directory / ROUTING_NAME)
-    decisions = DecisionLog(directory / DECISIONS_NAME)
-    router = ShardRouter([_parse_endpoint(piece) for piece in args.shard],
-                         routing, decisions,
-                         timeout=args.timeout,
-                         max_attempts=args.retries)
-    run(router, host=args.host, port=args.port, port_file=args.port_file,
+    group = EngineGroup.connect(
+        args.directory, [_parse_endpoint(piece) for piece in args.shard],
+        timeout=args.timeout, max_attempts=args.retries)
+    run(group, host=args.host, port=args.port, port_file=args.port_file,
         max_connections=args.max_connections,
         request_timeout=args.timeout,
         checkpoint_on_shutdown=False,

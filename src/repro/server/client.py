@@ -170,7 +170,7 @@ class DatabaseClient:
             self._sock.settimeout(timeout)
         try:
             line = self._file.readline()
-        except OSError as error:
+        except (OSError, ValueError) as error:  # ValueError: closed under us
             self._mark_broken(f"{type(error).__name__}: {error}")
             raise ConnectionLostError(
                 f"connection lost waiting for a feed frame: {error}"
@@ -203,6 +203,13 @@ class DatabaseClient:
         return self.call(wire["op"], **wire.get("params", {}))
 
     def close(self) -> None:
+        # Shut the socket down first: that wakes a thread blocked reading
+        # it (a feed reader), which would otherwise hold the file's lock
+        # until its read timed out.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._file.close()
         finally:

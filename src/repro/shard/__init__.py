@@ -10,14 +10,15 @@ The shard package scales the single-process serving stack horizontally:
   the exactly-once substrate: participant votes are durable ``prepared``
   WAL lines, the coordinator's only state is an append-only decision log,
   and in-doubt transactions resolve deterministically at reopen.
-- :mod:`repro.shard.group` -- :class:`EngineGroup`, N in-process
-  :class:`~repro.server.engine.DatabaseEngine` instances behind one
-  engine-shaped facade (``repro shard-serve``).
-- :mod:`repro.shard.router` -- :class:`ShardRouter`, the same facade over
-  N *remote* shard servers via resilient clients (``repro route``).
+- :mod:`repro.shard.group` -- :class:`EngineGroup`, the one shard front:
+  N shards behind one engine-shaped facade, hosted in-process by
+  :meth:`EngineGroup.open` (``repro shard-serve``) or reached as running
+  shard servers by :meth:`EngineGroup.connect` (``repro route``).
+- :mod:`repro.shard.router` -- :class:`RemoteShard`, the wire adapter
+  that gives one shard server the engine methods the group calls.
 
-One shard is the degenerate case throughout: routing, the group and the
-router all collapse to plain single-engine behaviour.
+One shard is the degenerate case throughout: routing and the group
+collapse to plain single-engine behaviour.
 """
 
 from repro.datalog.errors import RoutingError, UnavailableError
@@ -28,7 +29,7 @@ from repro.shard.coordinator import (
     TwoPhaseCoordinator,
 )
 from repro.shard.group import EngineGroup
-from repro.shard.router import ShardRouter
+from repro.shard.router import RemoteShard
 from repro.shard.routing import HASHED, ROUTING_NAME, RoutingTable, stable_hash
 
 __all__ = [
@@ -38,9 +39,9 @@ __all__ = [
     "HASHED",
     "Participant",
     "ROUTING_NAME",
+    "RemoteShard",
     "RoutingError",
     "RoutingTable",
-    "ShardRouter",
     "TwoPhaseCoordinator",
     "UnavailableError",
     "stable_hash",

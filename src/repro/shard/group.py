@@ -1,17 +1,25 @@
-"""``EngineGroup``: N engines behind one engine-shaped front.
+"""``EngineGroup``: N shards behind one engine-shaped front.
 
-The group partitions the extensional database across N
-:class:`~repro.server.engine.DatabaseEngine` instances (each with its own
-WAL, dedup table and cache epoch) under one directory::
+The group partitions the extensional database across N shards (each a
+:class:`~repro.server.engine.DatabaseEngine` with its own WAL, dedup
+table and cache epoch) under one directory::
 
     group/
       routing.json     the partition map (repro.shard.routing)
       decisions.log    the 2PC decision log (repro.shard.coordinator)
       shard-0/ ...     one DurableDatabase directory per shard
 
-It exposes the same surface :func:`repro.server.protocol.dispatch`
-expects of an engine, so the existing :class:`DatabaseServer` serves a
-group unchanged (``repro shard-serve``):
+There are two ways to open a group, and one front for both:
+
+- :meth:`EngineGroup.open` hosts the shard engines in-process
+  (``repro shard-serve``); each shard handle *is* the engine;
+- :meth:`EngineGroup.connect` fronts N running shard servers
+  (``repro serve --routing``) through
+  :class:`~repro.shard.router.RemoteShard` wire adapters (``repro route``).
+
+The group exposes the surface :func:`repro.server.protocol.dispatch`
+expects of an engine, so the existing :class:`DatabaseServer` serves it
+unchanged:
 
 - **reads scatter-gather**: ``query`` fans out to the owning shards (one
   shard when the routing key is bound) and unions the answers; ``upward``
@@ -21,7 +29,7 @@ group unchanged (``repro shard-serve``):
 - **single-shard commits route directly** into that shard's group-commit
   machinery; **cross-shard commits run 2PC** through the coordinator;
 - a 1-shard group is the degenerate case: every operation delegates
-  straight to the single engine, so single-node behaviour is unchanged.
+  straight to the single shard, so single-node behaviour is unchanged.
 
 Operations that are only meaningful against one consistent state
 (``monitor``, ``downward``, ``repair``) delegate on a 1-shard group and
@@ -31,14 +39,21 @@ raise a typed :class:`RoutingError` on a multi-shard one.
 from __future__ import annotations
 
 import itertools
+import logging
+import operator
 import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Union
 
 from repro.datalog.database import DeductiveDatabase
-from repro.datalog.errors import DatalogError, RoutingError, SubscriptionError
+from repro.datalog.errors import (
+    DatalogError,
+    RoutingError,
+    SubscriptionError,
+    UnavailableError,
+)
 from repro.events.events import Transaction
 from repro.interpretations.upward import UpwardResult
 from repro.problems import ICCheckResult
@@ -51,7 +66,13 @@ from repro.shard.coordinator import (
     Participant,
     TwoPhaseCoordinator,
 )
+from repro.shard.router import RemoteShard
 from repro.shard.routing import ROUTING_NAME, RoutingTable
+
+logger = logging.getLogger("repro.shard.group")
+
+#: A shard handle: an in-process engine or a wire adapter to a shard server.
+Shard = Union[DatabaseEngine, RemoteShard]
 
 
 def _error_payload(error: BaseException) -> dict:
@@ -61,16 +82,25 @@ def _error_payload(error: BaseException) -> dict:
     return {"type": protocol.error_type_of(error), "message": str(error)}
 
 
-class EngineGroup:
-    """A predicate/hash-partitioned group of engines (see module doc)."""
+def _union(mappings: Iterable[dict[str, frozenset]]) -> dict[str, frozenset]:
+    """Per-name union of row sets (merges per-shard results)."""
+    merged: dict[str, frozenset] = {}
+    for mapping in mappings:
+        for name, rows in mapping.items():
+            merged[name] = merged.get(name, frozenset()) | rows
+    return merged
 
-    def __init__(self, engines: list[DatabaseEngine], routing: RoutingTable,
+
+class EngineGroup:
+    """A predicate/hash-partitioned group of shards (see module doc)."""
+
+    def __init__(self, engines: list[Shard], routing: RoutingTable,
                  decisions: DecisionLog, directory: Path | None = None,
                  metrics: MetricsRegistry | None = None):
         if len(engines) != routing.n_shards:
             raise RoutingError(
                 f"routing table expects {routing.n_shards} shard(s), "
-                f"got {len(engines)} engine(s)")
+                f"got {len(engines)}")
         self._engines = list(engines)
         self._routing = routing
         self._directory = Path(directory) if directory is not None else None
@@ -97,7 +127,7 @@ class EngineGroup:
              pinned: dict[str, int] | None = None,
              metrics: MetricsRegistry | None = None,
              **engine_kwargs) -> "EngineGroup":
-        """Open (or create) a sharded database directory.
+        """Open (or create) a sharded database directory in-process.
 
         A fresh directory partitions *initial* across ``shards`` engines
         and persists the routing table; an existing one reloads its table
@@ -129,8 +159,33 @@ class EngineGroup:
                         if fresh else None)
             engine = DatabaseEngine.open(directory / f"shard-{index}",
                                          initial=slice_db, **engine_kwargs)
-            cls._redeclare_schema(engine, routing)
+            routing.declare_schema(engine.db)
             engines.append(engine)
+        return cls._start(engines, routing, directory, metrics)
+
+    @classmethod
+    def connect(cls, directory, endpoints: list[tuple[str, int]], *,
+                metrics: MetricsRegistry | None = None,
+                **client_options) -> "EngineGroup":
+        """Front running shard servers, one ``(host, port)`` per shard.
+
+        *directory* holds the group's ``routing.json``; the group is the
+        2PC coordinator, so its decision log lives there too.
+        *client_options* are :class:`~repro.server.resilient.ResilientClient`
+        keyword arguments (``timeout``, ``max_attempts`` ...).  In-doubt
+        votes resolve here as in :meth:`open`; a shard unreachable now
+        keeps its votes until the next start.
+        """
+        directory = Path(directory)
+        routing = RoutingTable.load(directory)
+        shards = [RemoteShard(index, host, port, **client_options)
+                  for index, (host, port) in enumerate(endpoints)]
+        return cls._start(shards, routing, directory, metrics)
+
+    @classmethod
+    def _start(cls, engines: list[Shard], routing: RoutingTable,
+               directory: Path, metrics: MetricsRegistry | None
+               ) -> "EngineGroup":
         decisions = DecisionLog(directory / DECISIONS_NAME)
         group = cls(engines, routing, decisions, directory, metrics=metrics)
         group._resolve_in_doubt()
@@ -152,28 +207,22 @@ class EngineGroup:
                 shard_db.add_fact(predicate, *row)
         return shard_db
 
-    @staticmethod
-    def _redeclare_schema(engine: DatabaseEngine,
-                          routing: RoutingTable) -> None:
-        # Snapshots only render facts and rules, so a base predicate with
-        # no facts on this shard (and no mention in a rule) would vanish
-        # across a reopen; the routing table is the durable schema record.
-        for predicate, arity in routing.arities.items():
-            engine.db.declare_base(predicate, arity)
-
     def _resolve_in_doubt(self) -> None:
-        """Drive every recovered in-doubt vote to a decision (open time)."""
+        """Drive every recovered in-doubt vote to a decision (start time)."""
         for index, engine in enumerate(self._engines):
-            for txn_id in engine.in_doubt:
-                decision = self._coordinator.decisions.decision(txn_id)
-                if decision is None:
-                    # Presumed abort: the coordinator never reached its
-                    # commit point, or we would have a record.  Record the
-                    # abort so late-arriving shards resolve identically.
-                    decision = self._coordinator.decisions.record(
-                        txn_id, "abort")
-                engine.decide(txn_id, decision)
-                self.metrics.increment("twopc.recovered")
+            try:
+                for txn_id in engine.in_doubt:
+                    decision = self.decisions.decision(txn_id)
+                    if decision is None:
+                        # Presumed abort: the coordinator never reached its
+                        # commit point, or we would have a record.  Record
+                        # the abort so late-arriving shards resolve alike.
+                        decision = self.decisions.record(txn_id, "abort")
+                    engine.decide(txn_id, decision)
+                    self.metrics.increment("twopc.recovered")
+            except UnavailableError as error:
+                logger.warning("in-doubt votes on shard %d stay unresolved "
+                               "until the next start: %s", index, error)
 
     def close(self, checkpoint: bool = True) -> None:
         if self._closed:
@@ -196,7 +245,7 @@ class EngineGroup:
         return len(self._engines)
 
     @property
-    def engines(self) -> tuple[DatabaseEngine, ...]:
+    def engines(self) -> tuple[Shard, ...]:
         return tuple(self._engines)
 
     @property
@@ -214,45 +263,62 @@ class EngineGroup:
 
     # -- scatter-gather plumbing -----------------------------------------------
 
-    def _scatter(self, targets: list[int],
-                 fn: Callable[[DatabaseEngine], object]) -> list:
-        """Run *fn* on each target shard concurrently; raise the first error."""
-        if len(targets) == 1:
-            return [fn(self._engines[targets[0]])]
-        self.metrics.increment("router.fanout", len(targets))
-        futures = [self._pool.submit(self._timed, index, fn)
-                   for index in targets]
+    def _scatter(self, op: str,
+                 calls: list[tuple[int, Callable[[Shard], object]]]) -> list:
+        """Run each ``fn(shard)`` concurrently; raise the first error."""
+        if len(calls) == 1:
+            index, fn = calls[0]
+            return [fn(self._engines[index])]
+        self.metrics.increment("router.fanout", len(calls))
+        futures = [self._pool.submit(self._timed, index, op, fn)
+                   for index, fn in calls]
         return [future.result() for future in futures]
 
-    def _timed(self, index: int, fn: Callable[[DatabaseEngine], object]):
-        with self.metrics.time(f"shard.{index}.request"):
+    def _timed(self, index: int, op: str, fn: Callable[[Shard], object]):
+        with self.metrics.time(f"shard.{index}.{op}"):
             return fn(self._engines[index])
 
-    def _gather_degraded(self, fn: Callable[[DatabaseEngine], dict]
+    def _gather_degraded(self, op: str
                          ) -> tuple[dict[int, dict], dict[int, BaseException]]:
-        """Scatter to every shard, collecting failures instead of raising."""
+        """Run *op* on every shard, collecting failures instead of raising."""
+        call = operator.methodcaller(op)
+        if self._closed:  # the pool is gone, but health still answers
+            pending = {index: lambda i=index: self._timed(i, op, call)
+                       for index in range(self.n_shards)}
+        else:
+            pending = {index: self._pool.submit(
+                self._timed, index, op, call).result
+                for index in range(self.n_shards)}
         results: dict[int, dict] = {}
         errors: dict[int, BaseException] = {}
-        for index in range(self.n_shards):
+        for index, result in pending.items():
             try:
-                results[index] = fn(self._engines[index])
+                results[index] = result()
             except DatalogError as error:
                 errors[index] = error
         return results, errors
 
-    def _single_shard(self, op: str) -> DatabaseEngine:
+    def _parts(self, transaction: Transaction
+               ) -> list[tuple[int, Transaction]]:
+        """The per-shard slices of *transaction*, in shard order."""
+        parts = self._routing.split(transaction)
+        return sorted(parts.items()) if parts else [(0, transaction)]
+
+    def _single_shard(self, op: str) -> Shard:
         if self.n_shards == 1:
             return self._engines[0]
         raise RoutingError(
-            f"'{op}' needs one consistent state and cannot run against a "
-            f"{self.n_shards}-shard group; run it against a single shard")
+            f"'{op}' cannot run against a {self.n_shards}-shard group; "
+            "send it to a single shard")
 
     # -- reads -----------------------------------------------------------------
 
     def query(self, goal: str) -> list[tuple]:
         with self.metrics.time("query"):
             targets = self._routing.shards_for_goal(goal)
-            results = self._scatter(targets, lambda e: e.query(goal))
+            results = self._scatter(
+                "query", [(index, lambda e: e.query(goal))
+                          for index in targets])
             if len(results) == 1:
                 return results[0]
             merged: set = set()
@@ -263,54 +329,32 @@ class EngineGroup:
     def upward(self, transaction: Transaction,
                predicates: Iterable[str] | None = None) -> UpwardResult:
         with self.metrics.time("upward"):
-            parts = self._routing.split(transaction)
-            if not parts:
-                parts = {0: transaction}
             predicates = (tuple(predicates)
                           if predicates is not None else None)
-            items = sorted(parts.items())
-            if len(items) == 1:
-                index, sub = items[0]
-                return self._engines[index].upward(sub, predicates)
-            self.metrics.increment("router.fanout", len(items))
-            futures = [
-                self._pool.submit(
-                    self._timed, index,
-                    lambda e, t=sub: e.upward(t, predicates))
-                for index, sub in items
-            ]
-            results = [future.result() for future in futures]
-            insertions: dict[str, frozenset] = {}
-            deletions: dict[str, frozenset] = {}
+            results = self._scatter(
+                "upward", [(index, lambda e, t=sub: e.upward(t, predicates))
+                           for index, sub in self._parts(transaction)])
+            if len(results) == 1:
+                return results[0]
             covered = None
             for result in results:
-                for predicate, rows in result.insertions.items():
-                    insertions[predicate] = \
-                        insertions.get(predicate, frozenset()) | rows
-                for predicate, rows in result.deletions.items():
-                    deletions[predicate] = \
-                        deletions.get(predicate, frozenset()) | rows
                 covered = (result.covered if covered is None
                            else (covered & result.covered
                                  if result.covered is not None else covered))
-            return UpwardResult(insertions, deletions, transaction,
-                                covered=covered)
+            return UpwardResult(_union(r.insertions for r in results),
+                                _union(r.deletions for r in results),
+                                transaction, covered=covered)
 
     def check(self, transaction: Transaction) -> ICCheckResult:
         with self.metrics.time("check"):
-            parts = self._routing.split(transaction)
-            if not parts:
-                parts = {0: transaction}
-            items = sorted(parts.items())
-            verdicts = [self._engines[index].check(sub)
-                        for index, sub in items]
+            verdicts = self._scatter(
+                "check", [(index, lambda e, t=sub: e.check(t))
+                          for index, sub in self._parts(transaction)])
             if len(verdicts) == 1:
                 return verdicts[0]
-            violations: list = []
-            for verdict in verdicts:
-                violations.extend(verdict.violations)
             return ICCheckResult(all(v.ok for v in verdicts),
-                                 tuple(violations), transaction)
+                                 _union(v.violations for v in verdicts),
+                                 transaction)
 
     def monitor(self, transaction: Transaction,
                 conditions: Iterable[str] | None = None):
@@ -325,7 +369,7 @@ class EngineGroup:
     # -- aggregated stats/health (degraded, never failing) ---------------------
 
     def stats(self) -> dict:
-        results, errors = self._gather_degraded(lambda e: e.stats())
+        results, errors = self._gather_degraded("stats")
         facts = sum(r["engine"]["facts"] for r in results.values())
         in_doubt = sum(r["engine"].get("in_doubt", 0)
                        for r in results.values())
@@ -348,7 +392,7 @@ class EngineGroup:
         return payload
 
     def health(self) -> dict:
-        results, errors = self._gather_degraded(lambda e: e.health())
+        results, errors = self._gather_degraded("health")
         ready = bool(results) and not errors and all(
             r.get("ready") for r in results.values())
         payload = {
@@ -385,18 +429,19 @@ class EngineGroup:
                        emit_empty: bool = False) -> dict:
         """Register one standing query across every shard.
 
-        Each shard engine gets an ``emit_empty`` subscription -- a
-        coordinated commit then yields a frame from *every* participant,
-        so the per-subscription :class:`FeedMerger` knows when a 2PC
+        Each shard gets an ``emit_empty`` subscription -- a coordinated
+        commit then yields a frame from *every* participant, so the
+        per-subscription :class:`FeedMerger` knows when a 2PC
         transaction's frame set is complete -- and the merger folds those
         per-shard frames into one subscriber stream: exactly one merged
         frame per cross-shard commit, emitted in commit decision order.
-        (*emit_empty* on the merged stream itself is not supported; empty
-        merged frames are dropped.)
+        A remote shard whose feed connection is lost pushes a ``resync``
+        onto the merged stream.  (*emit_empty* on the merged stream
+        itself is not supported; empty merged frames are dropped.)
         """
         del emit_empty
         merger = FeedMerger(callback)
-        per_shard: list[tuple[DatabaseEngine, str]] = []
+        per_shard: list[tuple[Shard, str]] = []
         epoch = 0
         info: dict = {}
         try:
@@ -447,10 +492,9 @@ class EngineGroup:
                on_violation: str | None = None,
                timeout: float | None = None,
                txn_id: str | None = None) -> CommitOutcome:
-        parts = self._routing.split(transaction)
-        if len(parts) <= 1:
-            index, sub = (next(iter(parts.items())) if parts
-                          else (0, transaction))
+        parts = self._parts(transaction)
+        if len(parts) == 1:
+            index, sub = parts[0]
             self.metrics.increment("router.single_shard_commits")
             return self._engines[index].commit(
                 sub, on_violation=on_violation, timeout=timeout,
@@ -463,14 +507,13 @@ class EngineGroup:
             txn_id = uuid.uuid4().hex
         self.metrics.increment("router.cross_shard_commits")
         self.metrics.increment("router.fanout", len(parts))
-        pairs = [(self._participants[index], sub)
-                 for index, sub in sorted(parts.items())]
+        pairs = [(self._participants[index], sub) for index, sub in parts]
         # Mergers must know the participant set *before* phase two: frames
         # a shard pushes while applying the decision are buffered against
         # the transaction, then emitted as one merged frame on commit (or
         # discarded on abort).
         mergers = self._feed_mergers()
-        shard_ids = sorted(parts)
+        shard_ids = [index for index, _ in parts]
         for merger in mergers:
             merger.begin(txn_id, shard_ids)
         try:
@@ -508,16 +551,10 @@ class EngineGroup:
                     raise
         return outcomes
 
+    # A multi-shard group is a 2PC coordinator, never a participant.
+
     def prepare(self, transaction: Transaction, txn_id: str) -> dict:
-        if self.n_shards == 1:
-            return self._engines[0].prepare(transaction, txn_id)
-        raise RoutingError(
-            "a shard group cannot itself be a 2PC participant; send "
-            "'prepare' to an individual shard")
+        return self._single_shard("prepare").prepare(transaction, txn_id)
 
     def decide(self, txn_id: str, decision: str) -> dict:
-        if self.n_shards == 1:
-            return self._engines[0].decide(txn_id, decision)
-        raise RoutingError(
-            "a shard group cannot itself be a 2PC participant; send "
-            "'decide' to an individual shard")
+        return self._single_shard("decide").decide(txn_id, decision)

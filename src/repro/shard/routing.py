@@ -93,6 +93,16 @@ class RoutingTable:
                 f"{sorted(pinned)}")
         return cls(n_shards, placements, arities)
 
+    def declare_schema(self, db: DeductiveDatabase) -> None:
+        """Declare every routed base predicate on one shard's database.
+
+        Snapshots only render facts and rules, so a base predicate with
+        no facts on a shard (and no mention in a rule) would vanish across
+        a reopen; the routing table is the durable schema record.
+        """
+        for predicate, arity in self.arities.items():
+            db.declare_base(predicate, arity)
+
     # -- placement -------------------------------------------------------------
 
     def shard_of(self, predicate: str, args: Iterable) -> int:
